@@ -79,7 +79,7 @@ def cmd_check(args) -> int:
     fold = _fold_map(spec)
     results = []
     defs: dict = {}
-    from .syntax import Definition, Check
+    from .syntax import Definition
     for item in src.items:
         try:
             if type(item) is Definition:

@@ -23,13 +23,13 @@ enumeration is a bounded table, wide enough for the eight registered codes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
-from .term import (App, Lam, Pi, Sort, STAR_SORT, Term, Var, normal_form_of,
+from .term import (App, Lam, Pi, STAR_SORT, Term, Var, normal_form_of,
                    DEFAULT_FUEL)
 from .syntax import parse_term
-from .systems import (LAMBDA_STAR, EMPTY, TypingError, check, infer)
+from .systems import (LAMBDA_STAR, EMPTY, TypingError, check)
 from .encodings import definitions, entry
 
 
@@ -54,12 +54,6 @@ def numeral_value(t: Term, fuel: int = DEFAULT_FUEL) -> int | None:
     nf = normal_form_of(t, fuel)
     if nf is None:
         return None
-    for k in range(0, 1 + 10_000):
-        if nf == church(k):
-            return k
-        if k > 64:
-            break
-    # general walk for larger numerals
     if type(nf) is not Lam or type(nf.right) is not Lam \
             or type(nf.right.right) is not Lam:
         return None

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 
-from .term import (App, Lam, Pi, Sort, STAR_SORT, Term, Var, app, shift)
+from .term import (App, Lam, Pi, STAR_SORT, Term, Var, app, shift)
 from .encodings import definitions
 from .codes import church
 

@@ -1,36 +1,22 @@
 """Erasure to untyped lambda terms (the Curry-style reading of System F).
 
 |x| = x, |M N| = |M| |N|, |\\x:s. M| = \\x. |M|, and both type abstraction
-and type application vanish.
+and type application vanish.  Untyped terms live in the kernel's term
+language: an erased binder is Lam(UNTYPED, body), so the kernel's
+substitution, redex search and contraction serve them unchanged.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .term import App, Lam, Pi, PrimJ, Sort, Term, Var, STAR
+from .term import (App, Lam, Pi, PrimJ, Sort, Term, Var, STAR, contract_at,
+                   redex_positions)
 
 
 class EraseError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class UVar:
-    index: int
-
-
-@dataclass(frozen=True)
-class ULam:
-    body: "UTerm"
-
-
-@dataclass(frozen=True)
-class UApp:
-    fun: "UTerm"
-    arg: "UTerm"
-
-
-UTerm = UVar | ULam | UApp
+# the domain of every erased binder; closed, so substitution never enters it
+UNTYPED = Sort("untyped")
 
 
 def _is_type(t: Term, type_binders: list[bool]) -> bool:
@@ -42,99 +28,53 @@ def _is_type(t: Term, type_binders: list[bool]) -> bool:
     return False
 
 
-def erase(t: Term) -> UTerm:
+def erase(t: Term) -> Term:
     """Delete annotations, type abstractions and type applications from a
     well-typed System F term.  Terms containing J are rejected: J has no
     uniform untyped meaning."""
-    def go(t: Term, env: list[bool]) -> UTerm:
+    def go(t: Term, env: list[bool]) -> Term:
         tt = type(t)
         if tt is PrimJ:
             raise EraseError("J cannot be erased to an untyped term")
         if tt is Var:
             if t.index < len(env) and env[t.index]:
                 raise EraseError("type variable in term position")
-            return UVar(sum(1 for k in env[:t.index] if not k))
+            return Var(sum(1 for k in env[:t.index] if not k))
         if tt is Lam:
             if type(t.left) is Sort and t.left.name == STAR:
                 return go(t.right, [True] + env)
-            return ULam(go(t.right, [False] + env))
+            return Lam(UNTYPED, go(t.right, [False] + env))
         if tt is App:
             if _is_type(t.right, env):
                 return go(t.left, env)
-            return UApp(go(t.left, env), go(t.right, env))
+            return App(go(t.left, env), go(t.right, env))
         raise EraseError(f"cannot erase {type(t).__name__} in term position")
 
     return go(t, [])
 
 
-# a tiny untyped reduction toolkit for the simulation tests
-
-def u_shift(t: UTerm, by: int, cutoff: int = 0) -> UTerm:
-    if type(t) is UVar:
-        return UVar(t.index + by) if t.index >= cutoff else t
-    if type(t) is ULam:
-        return ULam(u_shift(t.body, by, cutoff + 1))
-    return UApp(u_shift(t.fun, by, cutoff), u_shift(t.arg, by, cutoff))
+def u_one_step_reachable(a: Term, b: Term) -> bool:
+    """True when the erased term b is a by zero steps or by one beta
+    contraction."""
+    return a == b or any(contract_at(a, p) == b for p in redex_positions(a))
 
 
-def u_substitute(body: UTerm, arg: UTerm, depth: int = 0) -> UTerm:
-    if type(body) is UVar:
-        if body.index == depth:
-            return u_shift(arg, depth)
-        return UVar(body.index - 1) if body.index > depth else body
-    if type(body) is ULam:
-        return ULam(u_substitute(body.body, arg, depth + 1))
-    return UApp(u_substitute(body.fun, arg, depth),
-                u_substitute(body.arg, arg, depth))
-
-
-def u_redex_positions(t: UTerm, path: tuple[int, ...] = ()) -> list[tuple[int, ...]]:
-    out = []
-    if type(t) is UApp:
-        if type(t.fun) is ULam:
-            out.append(path)
-        out += u_redex_positions(t.fun, path + (0,))
-        out += u_redex_positions(t.arg, path + (1,))
-    elif type(t) is ULam:
-        out += u_redex_positions(t.body, path + (0,))
-    return out
-
-
-def u_contract(t: UTerm, path: tuple[int, ...]) -> UTerm:
-    if not path:
-        assert type(t) is UApp and type(t.fun) is ULam
-        return u_substitute(t.fun.body, t.arg)
-    if type(t) is ULam:
-        return ULam(u_contract(t.body, path[1:]))
-    if path[0] == 0:
-        return UApp(u_contract(t.fun, path[1:]), t.arg)
-    return UApp(t.fun, u_contract(t.arg, path[1:]))
-
-
-def u_one_step_reachable(a: UTerm, b: UTerm) -> bool:
-    """True when b is a by zero steps or by one beta contraction."""
-    if a == b:
-        return True
-    return any(u_contract(a, p) == b for p in u_redex_positions(a))
-
-
-def u_pretty(t: UTerm, names: list[str] | None = None) -> str:
-    names = names or []
-
+def u_pretty(t: Term) -> str:
+    """Text of an erased term; binder domains are not printed."""
     def fresh(k: int) -> str:
         base = "xyzuvw"[k % 6]
         n = k // 6
         return base + (str(n) if n else "")
 
-    def go(t: UTerm, depth: int, par_app: bool, par_lam: bool) -> str:
-        if type(t) is UVar:
+    def go(t: Term, depth: int, par_app: bool, par_lam: bool) -> str:
+        if type(t) is Var:
             if t.index < depth:
                 return fresh(depth - 1 - t.index)
             return f"f{t.index - depth}"
-        if type(t) is ULam:
-            s = f"\\{fresh(depth)}. {go(t.body, depth + 1, False, False)}"
+        if type(t) is Lam:
+            s = f"\\{fresh(depth)}. {go(t.right, depth + 1, False, False)}"
             return f"({s})" if par_lam else s
-        s = f"{go(t.fun, depth, False, True)} {go(t.arg, depth, True, True)}"
+        s = f"{go(t.left, depth, False, True)} {go(t.right, depth, True, True)}"
         return f"({s})" if par_app else s
 
     return go(t, 0, False, False)

@@ -22,10 +22,10 @@ end of the line.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .term import (App, BOX, BOX_SORT, Lam, Pi, PrimJ, J, Sort, STAR,
-                   STAR_SORT, Term, TRIANGLE, Var)
+                   STAR_SORT, Term, Var)
 
 
 class ParseError(Exception):
@@ -101,12 +101,10 @@ class SourceFile:
 
 
 class _Parser:
-    def __init__(self, toks: list[Token], defs: dict[str, Term] | None = None,
-                 star: bool = False):
+    def __init__(self, toks: list[Token], defs: dict[str, Term] | None = None):
         self.toks = toks
         self.pos = 0
         self.defs = dict(defs) if defs else {}
-        self.star = star
 
     def peek(self) -> Token:
         return self.toks[self.pos]
@@ -227,8 +225,6 @@ class _Parser:
             if name not in ("stlc", "f", "star", "uminus"):
                 raise ParseError(t.line, t.column, "a system name")
             system = name
-            if name == "star":
-                self.star = True
         items: list[Definition | Check] = []
         while self.peek().kind != "eof":
             name_tok = self.expect("name")

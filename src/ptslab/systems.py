@@ -2,17 +2,18 @@
 
 A system is a triple (sorts, axioms, rules).  The same checker serves the
 simply typed calculus, System F, System U minus and the Type:Type calculus;
-only the triple changes.  Conversion is normalize-and-compare with a fuel
-budget, so checking in the Type:Type system can honestly report that it gave
-up instead of hanging.
+only the triple changes.  There is one conversion algorithm, the checker's:
+it compares weak head normal forms level by level, each reached within a
+fuel budget, so checking in the Type:Type system can honestly report that it
+gave up instead of hanging.  `convertible` returns its verdict.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .term import (App, DEFAULT_FUEL, JRules, Lam, NormalForm, Pi, PrimJ,
-                   Sort, Term, Var, _match_redex, shift, step_normal_order,
-                   substitute, normalize, BOX, STAR, TRIANGLE, STAR_SORT)
+from .term import (App, DEFAULT_FUEL, JRules, Lam, Pi, PrimJ, Sort, Term,
+                   Var, head_step, shift, step_normal_order, substitute, BOX,
+                   STAR, TRIANGLE, STAR_SORT)
 
 
 @dataclass(frozen=True)
@@ -160,17 +161,6 @@ class _Checker:
         self.types: dict[tuple[Term, tuple[Term, ...]], Term] = {}
         self.whnfs: dict[Term, Term] = {}
 
-    def _head_step(self, t: Term) -> Term | None:
-        if type(t) is not App:
-            return None
-        red = _match_redex(t, self.jrules)
-        if red is not None:
-            return red[1]
-        f2 = self._head_step(t.left)
-        if f2 is None:
-            return None
-        return App(f2, t.right)
-
     def whnf(self, t: Term, pos: tuple[int, ...]) -> Term:
         """Weak head normal form, fuel bounded."""
         cached = self.whnfs.get(t)
@@ -178,7 +168,7 @@ class _Checker:
             return cached
         orig = t
         for _ in range(self.fuel):
-            r = self._head_step(t)
+            r = head_step(t, self.jrules)
             if r is None:
                 break
             t = r
@@ -192,19 +182,22 @@ class _Checker:
 
     def conv(self, a: Term, b: Term, pos: tuple[int, ...]) -> bool:
         """Beta(-delta) convertibility, comparing weak head forms level by
-        level so shared subtrees short-circuit syntactically."""
-        if a == b:
-            return True
-        wa, wb = self.whnf(a, pos), self.whnf(b, pos)
-        if wa == wb:
-            return True
-        ta, tb = type(wa), type(wb)
-        if ta is not tb:
-            return False
-        if ta in (Var, Sort, PrimJ):
-            return False  # structural equality already failed
-        return self.conv(wa.left, wb.left, pos) and \
-            self.conv(wa.right, wb.right, pos)
+        level so shared subtrees short-circuit syntactically.  Pairs are
+        compared depth first, left before right."""
+        todo = [(a, b)]
+        while todo:
+            a, b = todo.pop()
+            if a == b:
+                continue
+            wa, wb = self.whnf(a, pos), self.whnf(b, pos)
+            if wa == wb:
+                continue
+            ta = type(wa)
+            if ta is not type(wb) or ta in (Var, Sort, PrimJ):
+                return False  # structural equality already failed
+            todo.append((wa.right, wb.right))
+            todo.append((wa.left, wb.left))
+        return True
 
     def sort_of_type(self, ty: Term, pos: tuple[int, ...]) -> str | None:
         """ty is an inferred type; name of the sort it reduces to, if any."""
@@ -303,18 +296,13 @@ def check(spec: SystemSpec, ctx: Context, t: Term, expected: Term,
 
 def convertible(spec: SystemSpec, ctx: Context, a: Term, b: Term,
                 fuel: int = DEFAULT_FUEL) -> str:
-    """Verdict: 'convertible', 'distinct' or 'fuel-exhausted'.  Decided by
-    normalizing both sides and comparing up to alpha."""
-    if a == b:
-        return "convertible"
-    jrules = JRules(fuel) if spec.with_j else None
-    nfs = []
-    for t in (a, b):
-        tr = normalize(t, fuel, jrules=jrules, keep_steps=False)
-        if type(tr.outcome) is not NormalForm:
-            return "fuel-exhausted"
-        nfs.append(tr.outcome.term)
-    return "convertible" if nfs[0] == nfs[1] else "distinct"
+    """Verdict: 'convertible', 'distinct' or 'fuel-exhausted', decided by
+    the checker's conversion; fuel bounds each weak head normalisation."""
+    try:
+        same = _Checker(spec, fuel).conv(a, b, ())
+    except ConversionFuelExhausted:
+        return "fuel-exhausted"
+    return "convertible" if same else "distinct"
 
 
 @dataclass(frozen=True)

@@ -158,11 +158,6 @@ class Pi(Term):
 J = PrimJ()
 STAR_SORT = Sort(STAR)
 BOX_SORT = Sort(BOX)
-TRIANGLE_SORT = Sort(TRIANGLE)
-
-
-def alpha_eq(a: Term, b: Term) -> bool:
-    return a == b
 
 
 def app(fun: Term, *args: Term) -> Term:
@@ -397,7 +392,31 @@ def normal_form_of(t: Term, fuel: int = DEFAULT_FUEL, jrules: JRules | None = No
     return None
 
 
-# full-beta contraction, used by the confluence sampler only
+def _rebuild(parents: list[Term], path: tuple[int, ...], new: Term) -> Term:
+    """Put new in place of the subterm reached from parents[0] along path;
+    parents[i] is the node at depth i, path[i] the child taken from it."""
+    for parent, i in zip(reversed(parents), reversed(path)):
+        if i == 0:
+            new = type(parent)(new, parent.right)
+        else:
+            new = type(parent)(parent.left, new)
+    return new
+
+
+def head_step(t: Term, jrules: JRules | None = None) -> Term | None:
+    """Contract the outermost redex on t's application spine; None when t
+    is in weak head normal form."""
+    parents: list[Term] = []
+    while type(t) is App:
+        red = _match_redex(t, jrules)
+        if red is not None:
+            return _rebuild(parents, (0,) * len(parents), red[1])
+        parents.append(t)
+        t = t.left
+    return None
+
+
+# full-beta contraction, used by the confluence sampler and erasure
 
 def redex_positions(t: Term, jrules: JRules | None = None) -> list[tuple[int, ...]]:
     out: list[tuple[int, ...]] = []
@@ -413,14 +432,11 @@ def redex_positions(t: Term, jrules: JRules | None = None) -> list[tuple[int, ..
 
 
 def contract_at(t: Term, path: tuple[int, ...], jrules: JRules | None = None) -> Term:
-    if not path:
-        red = _match_redex(t, jrules)
-        if red is None:
-            raise ValueError("no redex at position")
-        return red[1]
-    ch = _children(t)
-    i = path[0]
-    new = contract_at(ch[i], path[1:], jrules)
-    if i == 0:
-        return type(t)(new, t.right)
-    return type(t)(t.left, new)
+    parents: list[Term] = []
+    for i in path:
+        parents.append(t)
+        t = _children(t)[i]
+    red = _match_redex(t, jrules)
+    if red is None:
+        raise ValueError("no redex at position")
+    return _rebuild(parents, path, red[1])

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from ptslab.term import (App, CycleDetected, FuelExhausted, JRules,
+from ptslab.term import (App, CycleDetected, FuelExhausted, JRules, Lam,
                          NormalForm, Pi, Sort, STAR_SORT, Var, app,
                          contract_at, normal_form_of, normalize,
                          redex_positions, substitute)
@@ -16,7 +16,7 @@ from ptslab.systems import (EMPTY, NoAxiom, NoRule, SYSTEMS, TypingError,
                             infer, subject_reduction_probe)
 from ptslab.syntax import parse, parse_term, pretty
 from ptslab.encodings import definitions, registry
-from ptslab.erase import UApp, ULam, UVar, erase, u_one_step_reachable
+from ptslab.erase import UNTYPED, erase, u_one_step_reachable
 from ptslab.paradox import (build_hurkens, build_loop, hurkens_source,
                             hurkens_type_checks)
 from ptslab import codes as cd
@@ -149,7 +149,7 @@ def test_criterion_6_erasure_simulation():
                 violations += 1
             cur = nxt
     example = erase(parse_term("ID {rho} ID", F))
-    example_ok = example == UApp(ULam(UVar(0)), ULam(UVar(0)))
+    example_ok = example == App(Lam(UNTYPED, Var(0)), Lam(UNTYPED, Var(0)))
     ok = violations == 0 and example_ok
     report(6, "erasure simulation", ok,
            f"{steps} typed steps over 500 terms, {violations} violations; "

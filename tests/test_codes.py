@@ -27,7 +27,7 @@ def test_church_agrees_with_registry():
 
 
 def test_numeral_value_roundtrip():
-    for k in (0, 1, 5, 12):
+    for k in (0, 1, 5, 12, 64, 65, 200):
         assert nv(church(k)) == k
     assert nv(S["BoolV"]) is None
 

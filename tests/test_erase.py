@@ -2,11 +2,10 @@ import random
 
 import pytest
 
-from ptslab.term import (App, Lam, STAR_SORT, Var, normalize, NormalForm,
-                         step_normal_order)
-from ptslab.erase import (EraseError, UApp, ULam, UVar, erase, u_contract,
-                          u_one_step_reachable, u_pretty, u_redex_positions,
-                          u_substitute)
+from ptslab.term import (App, Lam, Var, contract_at, normalize, NormalForm,
+                         redex_positions, step_normal_order, substitute)
+from ptslab.erase import (EraseError, UNTYPED, erase, u_one_step_reachable,
+                          u_pretty)
 from ptslab.syntax import parse_term
 from ptslab.encodings import definitions
 from ptslab.corpus import welltyped_corpus
@@ -15,24 +14,28 @@ from ptslab.corpus import welltyped_corpus
 F = definitions("f")
 
 
+def lam(body):
+    return Lam(UNTYPED, body)
+
+
 def test_erase_identity():
-    assert erase(F["ID"]) == ULam(UVar(0))
+    assert erase(F["ID"]) == lam(Var(0))
 
 
 def test_erase_self_application():
     got = erase(parse_term("ID {rho} ID", F))
-    assert got == UApp(ULam(UVar(0)), ULam(UVar(0)))
+    assert got == App(lam(Var(0)), lam(Var(0)))
     assert u_pretty(got) == "(\\x. x) (\\x. x)"
 
 
 def test_erase_boolean():
-    assert erase(F["T"]) == ULam(ULam(UVar(1)))
-    assert erase(F["F"]) == ULam(ULam(UVar(0)))
+    assert erase(F["T"]) == lam(lam(Var(1)))
+    assert erase(F["F"]) == lam(lam(Var(0)))
 
 
 def test_type_abstraction_and_application_vanish():
     t = parse_term(r"/\X. \x:X. \y:Bool. x", F)
-    assert erase(t) == ULam(ULam(UVar(1)))
+    assert erase(t) == lam(lam(Var(1)))
 
 
 def test_erase_rejects_j():
@@ -41,22 +44,22 @@ def test_erase_rejects_j():
 
 
 def test_untyped_substitution():
-    # (\x. x x)[y] plumbing
-    assert u_substitute(UApp(UVar(0), UVar(1)), ULam(UVar(0))) == \
-        UApp(ULam(UVar(0)), UVar(0))
+    # (\x. x x)[y] plumbing, by the kernel's substitution
+    assert substitute(App(Var(0), Var(1)), lam(Var(0))) == \
+        App(lam(Var(0)), Var(0))
 
 
 def test_untyped_contraction():
-    t = UApp(ULam(UVar(0)), ULam(ULam(UVar(0))))
-    assert u_redex_positions(t) == [()]
-    assert u_contract(t, ()) == ULam(ULam(UVar(0)))
+    t = App(lam(Var(0)), lam(lam(Var(0))))
+    assert redex_positions(t) == [()]
+    assert contract_at(t, ()) == lam(lam(Var(0)))
 
 
 def test_one_step_reachable():
-    t = UApp(ULam(UVar(0)), ULam(UVar(0)))
+    t = App(lam(Var(0)), lam(Var(0)))
     assert u_one_step_reachable(t, t)               # zero steps
-    assert u_one_step_reachable(t, ULam(UVar(0)))   # one beta step
-    assert not u_one_step_reachable(t, UVar(0))
+    assert u_one_step_reachable(t, lam(Var(0)))     # one beta step
+    assert not u_one_step_reachable(t, Var(0))
 
 
 def test_erasure_simulation():
@@ -83,8 +86,8 @@ def test_erased_normal_forms_agree():
         assert type(tr.outcome) is NormalForm
         u = erase(t)
         for _ in range(10_000):
-            ps = u_redex_positions(u)
+            ps = redex_positions(u)
             if not ps:
                 break
-            u = u_contract(u, ps[0])
+            u = contract_at(u, ps[0])
         assert u == erase(tr.outcome.term)

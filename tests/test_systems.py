@@ -2,14 +2,14 @@ import random
 
 import pytest
 
-from ptslab.term import (App, Lam, Pi, Sort, STAR_SORT, Var, app, normalize,
-                         NormalForm, substitute)
+from ptslab.term import (App, Lam, Pi, Sort, STAR_SORT, Term, Var, app,
+                         normalize, NormalForm, substitute)
 from ptslab.systems import (ArgumentTypeMismatch, Context, EMPTY, JNotEnabled,
                             J_TYPE, LAMBDA_ARROW, LAMBDA_STAR, LAMBDA_U_MINUS,
                             NoAxiom, NoRule, NotAFunction, SYSTEM_F,
                             SYSTEM_F_J, SYSTEMS, TypeMismatch, TypingError,
-                            UnboundVariable, check, convertible, infer,
-                            subject_reduction_probe)
+                            UnboundVariable, _Checker, check, convertible,
+                            infer, subject_reduction_probe)
 from ptslab.syntax import parse_term
 from ptslab.encodings import definitions, registry
 
@@ -171,6 +171,30 @@ def test_convertible_fuel_exhausted():
                 Lam(STAR_SORT, App(Var(0), Var(0))))
     assert convertible(LAMBDA_STAR, EMPTY, omega, STAR_SORT,
                        fuel=50) == "fuel-exhausted"
+
+
+def test_convertible_distinct_heads_under_divergent_argument():
+    # x omega and y omega differ at the head; weak head comparison never
+    # normalises the argument, so no fuel is spent on it
+    omega = App(Lam(STAR_SORT, App(Var(0), Var(0))),
+                Lam(STAR_SORT, App(Var(0), Var(0))))
+    assert convertible(LAMBDA_STAR, EMPTY, App(Var(0), omega),
+                       App(Var(1), omega), fuel=1000) == "distinct"
+
+
+def deep_spine(a: Term) -> Term:
+    r"""((\x:*. x) a) a ... a, 5000 applications deep."""
+    return app(App(Lam(STAR_SORT, Var(0)), a), *[a] * 4999)
+
+
+def test_whnf_on_deep_spine():
+    a = Var(0)
+    assert _Checker(SYSTEM_F).whnf(deep_spine(a), ()) == app(a, *[a] * 4999)
+
+
+def test_convertible_on_deep_spines():
+    assert convertible(SYSTEM_F, EMPTY, deep_spine(Var(0)),
+                       deep_spine(Var(1))) == "distinct"
 
 
 # --- subject reduction probe -----------------------------------------------

@@ -145,6 +145,15 @@ def test_leftmost_outermost_is_chosen():
     assert pos == min(positions)
 
 
+def test_contract_at_on_deep_spine():
+    # ((\x:*. x) a) a ... a, 5000 applications deep: no recursion limit
+    a = Var(0)
+    t = app(App(Lam(STAR_SORT, Var(0)), a), *[a] * 4999)
+    p = redex_positions(t)[0]
+    assert p == (0,) * 4999
+    assert contract_at(t, p) == app(a, *[a] * 4999)
+
+
 # --- normalize -------------------------------------------------------------
 
 def test_bool_projection():
