@@ -3,9 +3,10 @@
 A system is a triple (sorts, axioms, rules).  The same checker serves the
 simply typed calculus, System F, System U minus and the Type:Type calculus;
 only the triple changes.  There is one conversion algorithm, the checker's:
-it compares weak head normal forms level by level, each reached within a
-fuel budget, so checking in the Type:Type system can honestly report that it
-gave up instead of hanging.  `convertible` returns its verdict.
+it compares weak head normal forms level by level.  The fuel budget bounds
+both each weak head normalisation and the number of pairs one comparison
+visits, so checking in the Type:Type system can honestly report that it gave
+up instead of hanging.  `convertible` returns its verdict.
 """
 from __future__ import annotations
 
@@ -183,12 +184,20 @@ class _Checker:
     def conv(self, a: Term, b: Term, pos: tuple[int, ...]) -> bool:
         """Beta(-delta) convertibility, comparing weak head forms level by
         level so shared subtrees short-circuit syntactically.  Pairs are
-        compared depth first, left before right."""
+        compared depth first, left before right.  At most `fuel` pairs that
+        are not syntactically equal are compared: a term whose weak head form
+        contains itself would otherwise yield new pairs forever."""
         todo = [(a, b)]
+        budget = self.fuel
         while todo:
             a, b = todo.pop()
             if a == b:
                 continue
+            if budget == 0:
+                raise ConversionFuelExhausted(
+                    f"conversion compared {self.fuel} pairs in "
+                    f"{self.spec.name} without reaching a verdict", pos, a)
+            budget -= 1
             wa, wb = self.whnf(a, pos), self.whnf(b, pos)
             if wa == wb:
                 continue
@@ -297,7 +306,8 @@ def check(spec: SystemSpec, ctx: Context, t: Term, expected: Term,
 def convertible(spec: SystemSpec, ctx: Context, a: Term, b: Term,
                 fuel: int = DEFAULT_FUEL) -> str:
     """Verdict: 'convertible', 'distinct' or 'fuel-exhausted', decided by
-    the checker's conversion; fuel bounds each weak head normalisation."""
+    the checker's conversion; fuel bounds each weak head normalisation and
+    the number of pairs compared."""
     try:
         same = _Checker(spec, fuel).conv(a, b, ())
     except ConversionFuelExhausted:

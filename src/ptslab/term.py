@@ -108,14 +108,6 @@ class Lam(Term):
         self.nf = 0
         self._hash = hash((0x4C33, domain._hash, body._hash))
 
-    @property
-    def domain(self) -> Term:
-        return self.left
-
-    @property
-    def body(self) -> Term:
-        return self.right
-
 
 class App(Term):
     __slots__ = ("left", "right")
@@ -127,14 +119,6 @@ class App(Term):
         self.nf = 0
         self._hash = hash((0x4155, fun._hash, arg._hash))
 
-    @property
-    def fun(self) -> Term:
-        return self.left
-
-    @property
-    def arg(self) -> Term:
-        return self.right
-
 
 class Pi(Term):
     __slots__ = ("left", "right")
@@ -145,14 +129,6 @@ class Pi(Term):
         self.fvb = max(domain.fvb, codomain.fvb - 1)
         self.nf = 0
         self._hash = hash((0x5044, domain._hash, codomain._hash))
-
-    @property
-    def domain(self) -> Term:
-        return self.left
-
-    @property
-    def codomain(self) -> Term:
-        return self.right
 
 
 J = PrimJ()
@@ -404,16 +380,36 @@ def _rebuild(parents: list[Term], path: tuple[int, ...], new: Term) -> Term:
 
 
 def head_step(t: Term, jrules: JRules | None = None) -> Term | None:
-    """Contract the outermost redex on t's application spine; None when t
-    is in weak head normal form."""
+    """Contract the outermost redex on t's application spine, or close the
+    type arguments of a J application on it; None when t is in weak head
+    normal form."""
     parents: list[Term] = []
     while type(t) is App:
         red = _match_redex(t, jrules)
-        if red is not None:
-            return _rebuild(parents, (0,) * len(parents), red[1])
+        new = red[1] if red is not None else _close_j_args(t, jrules)
+        if new is not None:
+            return _rebuild(parents, (0,) * len(parents), new)
         parents.append(t)
         t = t.left
     return None
+
+
+def _close_j_args(node: Term, jrules: JRules | None) -> Term | None:
+    """J{s}{t} M with an open type argument that normalising closes (weak
+    head steps never reduce inside s or t): the application with s and t
+    normalised, so the J rule applies next; else None."""
+    f = node.left
+    if jrules is None or type(f) is not App or type(f.left) is not App \
+            or type(f.left.left) is not PrimJ:
+        return None
+    s, t = f.left.right, f.right
+    if s.fvb == 0 and t.fvb == 0:
+        return None  # the J rule decided already, or ran out of fuel
+    ns = normal_form_of(s, jrules.type_fuel)
+    nt = normal_form_of(t, jrules.type_fuel)
+    if ns is None or nt is None or ns.fvb or nt.fvb:
+        return None
+    return App(App(App(J, ns), nt), node.right)
 
 
 # full-beta contraction, used by the confluence sampler and erasure

@@ -182,6 +182,28 @@ def test_convertible_distinct_heads_under_divergent_argument():
                        App(Var(1), omega), fuel=1000) == "distinct"
 
 
+def test_convertible_gives_up_on_self_reproducing_weak_head_forms():
+    # A A ->> \y:*. A A, and the same for A' A', so comparing the bodies
+    # yields the pair (A A, A' A') again; no normal form exists on either side
+    xx = App(Var(1), Var(1))
+    a = Lam(STAR_SORT, Lam(STAR_SORT, xx))
+    a2 = Lam(Sort("BOX"), Lam(STAR_SORT, xx))
+    assert convertible(LAMBDA_STAR, EMPTY, App(a, a), App(a2, a2),
+                       fuel=1000) == "fuel-exhausted"
+
+
+def test_convertible_closes_j_type_argument_by_reduction():
+    # \y:*. J{(\x:*. Bool) y}{Bool} M: the first type argument is open but
+    # reduces to the closed Bool, so J{Bool}{Bool} M -> M applies
+    bool_ty, m = F_DEFS["Bool"], F_DEFS["rho"]
+    s = App(Lam(STAR_SORT, bool_ty), Var(0))
+    a = Lam(STAR_SORT, app(tf("J"), s, bool_ty, m))
+    assert convertible(SYSTEM_F_J, EMPTY, a, Lam(STAR_SORT, m)) == "convertible"
+    # J{y}{Bool} M stays stuck: y is open in every reduct
+    stuck = Lam(STAR_SORT, app(tf("J"), Var(0), bool_ty, m))
+    assert convertible(SYSTEM_F_J, EMPTY, stuck, Lam(STAR_SORT, m)) == "distinct"
+
+
 def deep_spine(a: Term) -> Term:
     r"""((\x:*. x) a) a ... a, 5000 applications deep."""
     return app(App(Lam(STAR_SORT, Var(0)), a), *[a] * 4999)
