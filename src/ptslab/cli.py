@@ -10,10 +10,11 @@ import argparse
 import json
 import os
 import sys
+from typing import NoReturn
 
 from .term import (App, CycleDetected, FuelExhausted, JRules, NormalForm,
                    normalize)
-from .syntax import ParseError, parse, pretty
+from .syntax import ParseError, parse, pragma, pretty
 from .systems import (EMPTY, SYSTEMS, TypingError, infer)
 from .encodings import definitions, registry
 from .erase import EraseError, erase as erase_term, u_pretty
@@ -21,18 +22,32 @@ from . import codes as cd
 from . import paradox as px
 
 FUEL_NORMALIZE = 10_000
+FUEL_LOOP = 100
 FUEL_DEMO = 1_000_000
 FUEL_FLAT = 10_000_000
 
 
-def _default_fuel(kind: int) -> int:
-    env = os.environ.get("PTSLAB_FUEL")
-    if env is not None:
+def _fuel(given: int | None, default: int) -> int:
+    """--fuel when given, else PTSLAB_FUEL when set, else default; a value
+    that is not a non-negative integer ends the run with exit code 2."""
+    source, value = "--fuel", given
+    if given is None:
+        env = os.environ.get("PTSLAB_FUEL")
+        if env is None:
+            return default
+        source = "PTSLAB_FUEL"
         try:
-            return int(env)
+            value = int(env)
         except ValueError:
-            pass
-    return kind
+            _usage_error(f"PTSLAB_FUEL must be an integer, got {env!r}")
+    if value < 0:
+        _usage_error(f"{source} must be >= 0, got {value}")
+    return value
+
+
+def _usage_error(message: str) -> NoReturn:
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(2)
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -46,16 +61,14 @@ def _load(path: str, system_flag: str | None):
     try:
         text = open(path, encoding="utf-8").read()
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+        _usage_error(str(exc))
     try:
-        probe = parse(text)
-    except ParseError:
-        probe = None
-    system = system_flag or (probe.system if probe else None) or "f"
-    if system not in SYSTEMS:
-        print(f"error: unknown system {system!r}", file=sys.stderr)
+        system = system_flag or pragma(text) or "f"
+    except ParseError as exc:
+        print(f"{path}:{exc}", file=sys.stderr)
         raise SystemExit(2)
+    if system not in SYSTEMS:
+        _usage_error(f"unknown system {system!r}")
     try:
         src = parse(text, definitions(system))
     except ParseError as exc:
@@ -125,7 +138,7 @@ def cmd_normalize(args) -> int:
     star = _is_star(spec)
     fold = _fold_map(spec)
     t = _find_term(src, args.term)
-    fuel = args.fuel if args.fuel is not None else _default_fuel(FUEL_NORMALIZE)
+    fuel = _fuel(args.fuel, FUEL_NORMALIZE)
     jrules = JRules() if spec.with_j else None
     tr = normalize(t, fuel, detect_cycles=args.cycles, jrules=jrules,
                    keep_steps=args.trace)
@@ -181,9 +194,8 @@ def cmd_registry(args) -> int:
 
 
 def cmd_demo(args) -> int:
-    fuel = args.fuel
     if args.what == "loop":
-        rep = px.build_loop()
+        rep = px.build_loop(_fuel(args.fuel, FUEL_LOOP))
         fold = _fold_map(SYSTEMS["f+j"])
         ok = (type(rep.trace.outcome) is CycleDetected
               and rep.trace.outcome.witness == rep.start
@@ -198,7 +210,7 @@ def cmd_demo(args) -> int:
               "\n".join(lines))
         return 0 if ok else 1
     if args.what == "hurkens":
-        fuel = fuel if fuel is not None else _default_fuel(FUEL_DEMO)
+        fuel = _fuel(args.fuel, FUEL_DEMO)
         t = px.build_hurkens()
         typed = px.hurkens_type_checks()
         tr = normalize(t, fuel, detect_cycles=True, keep_steps=False)
@@ -212,7 +224,7 @@ def cmd_demo(args) -> int:
               f"after {tr.step_count} steps, no cycle")
         return 0 if ok else 1
     # flat
-    fuel = fuel if fuel is not None else _default_fuel(FUEL_FLAT)
+    fuel = _fuel(args.fuel, FUEL_FLAT)
     fm = cd.build_flat_machinery()
     table = fm.table
     smallest = min(cd.type_codes(table))

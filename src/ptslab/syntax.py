@@ -38,7 +38,7 @@ class ParseError(Exception):
 
 _TOKEN = re.compile(r"""
     (?P<ws>\s+|--[^\n]*)
-  | (?P<op>:=|->|/\\|[\\.:;(){}*])
+  | (?P<op>:=|->|/\\|[\\.:;(){}*+])
   | (?P<name>[A-Za-z_][A-Za-z0-9_']*)
   | (?P<pragma>\#system)
 """, re.VERBOSE)
@@ -216,15 +216,22 @@ class _Parser:
 
     # files -----------------------------------------------------------------
 
-    def file(self) -> SourceFile:
-        system = None
-        if self.peek().kind == "pragma":
+    def pragma(self) -> str | None:
+        """The system named by a leading '#system' pragma, or None."""
+        if self.peek().kind != "pragma":
+            return None
+        self.next()
+        t = self.expect("name")
+        name = t.text
+        if self.at_op("+"):  # f+j
             self.next()
-            t = self.expect("name")
-            name = t.text
-            if name not in ("stlc", "f", "star", "uminus"):
-                raise ParseError(t.line, t.column, "a system name")
-            system = name
+            name += "+" + self.expect("name").text
+        if name not in ("stlc", "f", "f+j", "star", "uminus"):
+            raise ParseError(t.line, t.column, "a system name")
+        return name
+
+    def file(self) -> SourceFile:
+        system = self.pragma()
         items: list[Definition | Check] = []
         while self.peek().kind != "eof":
             name_tok = self.expect("name")
@@ -250,6 +257,12 @@ class _Parser:
 
 def parse(text: str, defs: dict[str, Term] | None = None) -> SourceFile:
     return _Parser(_tokenize(text), defs).file()
+
+
+def pragma(text: str) -> str | None:
+    """The system a file's '#system' pragma names, read without parsing the
+    rest of the file (whose names depend on that system's prelude)."""
+    return _Parser(_tokenize(text)).pragma()
 
 
 def parse_term(text: str, defs: dict[str, Term] | None = None) -> Term:

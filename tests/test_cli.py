@@ -130,6 +130,61 @@ def test_normalize_unknown_name_exits_2(capsys, good):
     assert ei.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["normalize", "{file}", "--term", "idb", "--fuel", "-1"],
+    ["demo", "hurkens", "--fuel", "-1"],
+    ["demo", "loop", "--fuel", "-1"],
+])
+def test_negative_fuel_exits_2(capsys, good, argv):
+    with pytest.raises(SystemExit) as ei:
+        main([a.format(file=good) for a in argv])
+    assert ei.value.code == 2
+    err = capsys.readouterr().err
+    assert err == "error: --fuel must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("value,message", [
+    ("abc", "error: PTSLAB_FUEL must be an integer, got 'abc'\n"),
+    ("-5", "error: PTSLAB_FUEL must be >= 0, got -5\n"),
+])
+def test_bad_fuel_variable_exits_2(capsys, monkeypatch, good, value,
+                                   message):
+    monkeypatch.setenv("PTSLAB_FUEL", value)
+    for argv in (["normalize", good, "--term", "idb"], ["demo", "hurkens"]):
+        with pytest.raises(SystemExit) as ei:
+            main(argv)
+        assert ei.value.code == 2
+        assert capsys.readouterr().err == message
+
+
+def test_fuel_variable_sets_the_budget(capsys, monkeypatch, tmp_path):
+    p = tmp_path / "loop.ipl"
+    p.write_text("#system f\nw := (\\x:*. x x) (\\x:*. x x);\n")
+    monkeypatch.setenv("PTSLAB_FUEL", "7")
+    code, out, _ = run(capsys, "--json", "normalize", str(p), "--term", "w")
+    assert code == 1
+    assert json.loads(out)["steps"] == 7
+
+
+def test_pragma_f_plus_j(capsys, tmp_path):
+    p = tmp_path / "loop.ipl"
+    p.write_text("#system f+j\nloop := K {rho} K;\n")
+    code, out, _ = run(capsys, "--json", "normalize", str(p), "--term",
+                       "loop", "--cycles")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["outcome"] == "cycle" and payload["period"] == 3
+
+
+def test_pragma_selects_the_prelude(capsys, tmp_path):
+    # succ and n1 exist only in star's prelude
+    p = tmp_path / "two.ipl"
+    p.write_text("#system star\nx := succ n1;\n")
+    code, out, _ = run(capsys, "--json", "check", str(p))
+    assert code == 0
+    assert json.loads(out)["outcome"] == "ok"
+
+
 # --- erase -----------------------------------------------------------------
 
 def test_erase(capsys, good):
@@ -174,6 +229,13 @@ def test_demo_loop_json(capsys):
     code, out, _ = run(capsys, "--json", "demo", "loop")
     payload = json.loads(out)
     assert payload["outcome"] == "cycle"
+
+
+def test_demo_loop_honours_fuel(capsys):
+    # one step short of the recurrence at step 3
+    code, out, _ = run(capsys, "--json", "demo", "loop", "--fuel", "2")
+    assert code == 1
+    assert json.loads(out)["outcome"] == "unexpected"
 
 
 def test_demo_hurkens_small_fuel(capsys):

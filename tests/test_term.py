@@ -1,14 +1,17 @@
 import random
+import tracemalloc
 
 import pytest
 
-from ptslab.term import (App, CycleDetected, JRules, Lam, NormalForm, Pi,
-                         Sort, STAR_SORT, Term, Var, app, contract_at,
-                         normal_form_of, normalize, redex_positions, shift,
-                         step_normal_order, substitute)
+import ptslab.term as term_module
+from ptslab.term import (App, CycleDetected, FuelExhausted, JRules, Lam,
+                         NormalForm, Pi, ReductionTrace, Sort, STAR_SORT, Step,
+                         Term, Var, app, contract_at, normal_form_of, normalize,
+                         redex_positions, shift, step_normal_order, substitute)
 from ptslab.syntax import parse_term
 from ptslab.encodings import definitions
-from ptslab.corpus import random_wellscoped
+from ptslab.corpus import random_wellscoped, welltyped_corpus
+from ptslab.paradox import build_hurkens
 
 
 DEFS = definitions("f")
@@ -185,6 +188,136 @@ def test_cycle_detection_on_self_application():
     tr = normalize(omega, 50, detect_cycles=True)
     assert type(tr.outcome) is CycleDetected
     assert tr.outcome.period == 1
+
+
+
+# --- cycle table: same outcome as a table of whole terms -------------------
+
+def reference_normalize(t, fuel, detect_cycles=False, jrules=None,
+                        keep_steps=True):
+    """The term-keyed cycle table that the hash table replaced: every term
+    seen is kept.  The reducer is looked up at call time so that a patched
+    one applies here too."""
+    steps = []
+    seen = {} if detect_cycles else None
+    cur, count = t, 0
+    while True:
+        if seen is not None:
+            first = seen.get(cur)
+            if first is not None:
+                return ReductionTrace(tuple(steps),
+                                      CycleDetected(count - first, cur), count)
+            seen[cur] = count
+        r = term_module.step_normal_order(cur, jrules)
+        if r is None:
+            return ReductionTrace(tuple(steps), NormalForm(cur), count)
+        if count >= fuel:
+            return ReductionTrace(tuple(steps), FuelExhausted(cur, fuel), count)
+        nxt, path, rule = r
+        if keep_steps:
+            steps.append(Step(path, rule, cur, nxt))
+        cur = nxt
+        count += 1
+
+
+def assert_same_as_reference(t, jrules=None):
+    """Compare normalize with the reference on t at fuel mu+lambda-1,
+    mu+lambda and mu+lambda+1, where mu+lambda is the step count at which
+    the reference stops, with and without kept steps."""
+    n = reference_normalize(t, 10_000, True, jrules).step_count
+    for fuel in (f for f in (n - 1, n, n + 1) if f >= 0):
+        for keep in (True, False):
+            want = reference_normalize(t, fuel, True, jrules, keep)
+            got = normalize(t, fuel, detect_cycles=True, jrules=jrules,
+                            keep_steps=keep)
+            assert type(got.outcome) is type(want.outcome)
+            assert got.outcome == want.outcome
+            assert got.step_count == want.step_count
+            assert got.steps == want.steps
+    return want
+
+
+OMEGA = App(Lam(STAR_SORT, App(Var(0), Var(0))),
+            Lam(STAR_SORT, App(Var(0), Var(0))))
+
+
+def test_cycle_table_matches_reference_on_omega():
+    tr = assert_same_as_reference(OMEGA)
+    assert tr.outcome == CycleDetected(1, OMEGA)
+
+
+def test_cycle_table_matches_reference_after_a_prefix():
+    # the first recurrence is at step 1: Omega, reached after one step
+    t = App(Lam(STAR_SORT, Var(0)), OMEGA)
+    tr = assert_same_as_reference(t)
+    assert tr.step_count == 2
+    assert tr.outcome == CycleDetected(1, OMEGA)
+
+
+def test_cycle_table_matches_reference_on_j_loop():
+    fj = definitions("f+j")
+    start = App(App(fj["K"], fj["rho"]), fj["K"])
+    tr = assert_same_as_reference(start, JRules())
+    assert tr.outcome == CycleDetected(3, start)
+
+
+def test_cycle_table_matches_reference_on_corpus():
+    for t, _ in welltyped_corpus(60, seed=5):
+        assert_same_as_reference(t)
+
+
+def _forged_reducer(monkeypatch, back_to):
+    """Patch the reducer to run a, b, c, d, then back to c or a, where c is
+    a term distinct from a that carries a's hash."""
+    a, b, d = Var(0), Var(1), Var(3)
+
+    def forged():
+        c = Var(2)
+        c._hash = a._hash
+        return c
+
+    def step(t, jrules=None):
+        if t == a:
+            return b, (), "beta"
+        if t == b:
+            return forged(), (), "beta"
+        if t == d:
+            return (forged() if back_to == "c" else a), (), "beta"
+        return d, (), "beta"
+
+    monkeypatch.setattr(term_module, "step_normal_order", step)
+    return a
+
+
+@pytest.mark.parametrize("back_to,period", [("c", 2), ("a", 4)])
+def test_cycle_table_survives_a_forged_hash_collision(monkeypatch, back_to,
+                                                      period):
+    a = _forged_reducer(monkeypatch, back_to)
+    for fuel in (1, 2, 3, 4, 5, 10):
+        for keep in (True, False):
+            want = reference_normalize(a, fuel, True, keep_steps=keep)
+            got = normalize(a, fuel, detect_cycles=True, keep_steps=keep)
+            assert got.step_count == want.step_count
+            assert got.outcome == want.outcome
+            assert got.steps == want.steps
+            if fuel < 4:
+                # step 2 hits a's hash but is no recurrence
+                assert type(got.outcome) is FuelExhausted
+    assert got.step_count == 4
+    assert got.outcome.period == period
+
+
+def test_cycle_table_memory_is_bounded():
+    # about 256 bytes per step; the term-keyed table took ~11.7 MiB here
+    t = build_hurkens()
+    tracemalloc.start()
+    try:
+        tr = normalize(t, 20_000, detect_cycles=True, keep_steps=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert type(tr.outcome) is FuelExhausted
+    assert peak <= 5 * 2**20
 
 
 def test_trace_chains():
