@@ -17,7 +17,7 @@ from .term import (App, CycleDetected, FuelExhausted, JRules, NormalForm,
 from .syntax import ParseError, parse, pragma, pretty
 from .systems import (EMPTY, SYSTEMS, TypingError, infer)
 from .encodings import definitions, registry
-from .erase import EraseError, erase as erase_term, u_pretty
+from .erase import EraseError, erase as erase_term
 from . import codes as cd
 from . import paradox as px
 
@@ -177,7 +177,7 @@ def cmd_erase(args) -> int:
               f"error: {exc}")
         return 1
     _emit(args, {"command": "erase", "outcome": "ok", "steps": 0,
-                 "type": None, "term": u_pretty(u)}, u_pretty(u))
+                 "type": None, "term": pretty(u)}, pretty(u))
     return 0
 
 

@@ -7,16 +7,12 @@ substitution, redex search and contraction serve them unchanged.
 """
 from __future__ import annotations
 
-from .term import (App, Lam, Pi, PrimJ, Sort, Term, Var, STAR, contract_at,
-                   redex_positions)
+from .term import (App, Lam, Pi, PrimJ, Sort, Term, Var, STAR, UNTYPED,
+                   contract_at, redex_positions)
 
 
 class EraseError(Exception):
     pass
-
-
-# the domain of every erased binder; closed, so substitution never enters it
-UNTYPED = Sort("untyped")
 
 
 def _is_type(t: Term, type_binders: list[bool]) -> bool:
@@ -57,24 +53,3 @@ def u_one_step_reachable(a: Term, b: Term) -> bool:
     """True when the erased term b is a by zero steps or by one beta
     contraction."""
     return a == b or any(contract_at(a, p) == b for p in redex_positions(a))
-
-
-def u_pretty(t: Term) -> str:
-    """Text of an erased term; binder domains are not printed."""
-    def fresh(k: int) -> str:
-        base = "xyzuvw"[k % 6]
-        n = k // 6
-        return base + (str(n) if n else "")
-
-    def go(t: Term, depth: int, par_app: bool, par_lam: bool) -> str:
-        if type(t) is Var:
-            if t.index < depth:
-                return fresh(depth - 1 - t.index)
-            return f"f{t.index - depth}"
-        if type(t) is Lam:
-            s = f"\\{fresh(depth)}. {go(t.right, depth + 1, False, False)}"
-            return f"({s})" if par_lam else s
-        s = f"{go(t.left, depth, False, True)} {go(t.right, depth, True, True)}"
-        return f"({s})" if par_app else s
-
-    return go(t, 0, False, False)

@@ -24,8 +24,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .term import (App, BOX, BOX_SORT, Lam, Pi, PrimJ, J, Sort, STAR,
-                   STAR_SORT, Term, Var)
+from .term import (App, BOX_SORT, Lam, Pi, PrimJ, J, Sort, STAR,
+                   STAR_SORT, Term, UNTYPED, Var)
 
 
 class ParseError(Exception):
@@ -328,9 +328,7 @@ def pretty(t: Term, star: bool = False,
         if tt is Sort:
             if t.name == STAR:
                 return "V" if star else "*"
-            if t.name == BOX:
-                return "BOX"
-            return "TRI"
+            return t.name
         if tt is PrimJ:
             return "J"
         if tt is App:
@@ -341,6 +339,9 @@ def pretty(t: Term, star: bool = False,
             if t.left is STAR_SORT or t.left == STAR_SORT:
                 x = _fresh(_TYPE_NAMES, taken, counters)
                 s = f"/\\{x}. {go(t.right, [x] + env, _ARROW)}"
+            elif t.left is UNTYPED or t.left == UNTYPED:
+                x = _fresh(_TERM_NAMES, taken, counters)
+                s = f"\\{x}. {go(t.right, [x] + env, _ARROW)}"
             else:
                 x = _fresh(_TERM_NAMES, taken, counters)
                 s = f"\\{x}:{go(t.left, env, _ARROW)}. {go(t.right, [x] + env, _ARROW)}"

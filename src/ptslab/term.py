@@ -4,8 +4,10 @@ Terms are immutable; structural equality on the de Bruijn representation is
 alpha-equivalence.  Every node caches its hash, an upper bound on its free
 indices (``fvb``) and a normality bitmask, which is what makes long reduction
 runs (the paradox demos burn through 10^6 contractions) affordable in pure
-Python: closed subtrees are shared, never copied, and normal subtrees are
-never re-scanned.
+Python: closed subtrees are shared, never copied, and the one normal-order
+redex walk, behind both step_normal_order and redex_positions, skips every
+subtree whose normality bit is set.  head_step, the weak-head step of the
+checker, walks the application spine only.
 
 Reduction positions are tuples of 0/1: 0 selects fun/domain, 1 selects
 arg/body/codomain.
@@ -134,6 +136,8 @@ class Pi(Term):
 J = PrimJ()
 STAR_SORT = Sort(STAR)
 BOX_SORT = Sort(BOX)
+# the domain of every erased binder; closed, so substitution never enters it
+UNTYPED = Sort("untyped")
 
 
 def app(fun: Term, *args: Term) -> Term:
@@ -249,50 +253,50 @@ def _match_redex(node: Term, jrules: JRules | None):
     return None
 
 
-def _children(node: Term):
-    if type(node) in (Lam, App, Pi):
-        return (node.left, node.right)
-    return ()
+def _redexes(t: Term, jrules: JRules | None):
+    """Yield (parents, path, (rule, contractum)) for each redex of t in
+    preorder (a node, then its left subtree, then its right), which on
+    applications is normal order and on positions lexicographic order.
+
+    parents and path are the walk's live lists: parents[i] is the node at
+    depth i and path[i] the child taken from it.  Subtrees whose normality
+    bit is set are skipped; until the first yield, each subtree left behind
+    gets that bit, since no redex was found in it.
+    """
+    want = _NF_BETAJ if jrules is not None else _NF_BETA
+    mark = (_NF_BETA | _NF_BETAJ) if jrules is not None else _NF_BETA
+    parents: list[Term] = []
+    path: list[int] = []
+    node = t
+    while True:
+        if not node.nf & want:
+            # leaves carry both bits, so node has children
+            red = _match_redex(node, jrules)
+            if red is not None:
+                mark = 0    # node and its ancestors are not normal
+                yield parents, path, red
+            parents.append(node)
+            path.append(0)
+            node = node.left
+            continue
+        while parents:
+            if path[-1] == 0:
+                path[-1] = 1
+                node = parents[-1].right
+                break
+            path.pop()
+            parents.pop().nf |= mark
+        else:
+            return
 
 
 def step_normal_order(t: Term, jrules: JRules | None = None):
     """Contract the leftmost-outermost redex.
 
     Returns (reduct, position, rule) or None when t is a normal form.
-    Search order is node-first, then left child, then right child, which on
-    applications gives normal order.
     """
-    want = _NF_BETAJ if jrules is not None else _NF_BETA
-    frames: list[list] = [[t, -1]]
-    while frames:
-        f = frames[-1]
-        node = f[0]
-        if f[1] == -1:
-            if node.nf & want:
-                frames.pop()
-                continue
-            red = _match_redex(node, jrules)
-            if red is not None:
-                rule, contractum = red
-                path = tuple(fr[1] - 1 for fr in frames[:-1])
-                res = contractum
-                for fr in reversed(frames[:-1]):
-                    parent, idx = fr[0], fr[1] - 1
-                    if idx == 0:
-                        res = type(parent)(res, parent.right)
-                    else:
-                        res = type(parent)(parent.left, res)
-                return res, path, rule
-            f[1] = 0
-        ch = _children(node)
-        if f[1] < len(ch):
-            child = ch[f[1]]
-            f[1] += 1
-            frames.append([child, -1])
-        else:
-            mark = (_NF_BETA | _NF_BETAJ) if jrules is not None else _NF_BETA
-            node.nf |= mark
-            frames.pop()
+    for parents, path, (rule, contractum) in _redexes(t, jrules):
+        return _rebuild(parents, path, contractum), tuple(path), rule
     return None
 
 
@@ -405,7 +409,8 @@ def normal_form_of(t: Term, fuel: int = DEFAULT_FUEL, jrules: JRules | None = No
     return None
 
 
-def _rebuild(parents: list[Term], path: tuple[int, ...], new: Term) -> Term:
+def _rebuild(parents: list[Term], path: list[int] | tuple[int, ...],
+             new: Term) -> Term:
     """Put new in place of the subterm reached from parents[0] along path;
     parents[i] is the node at depth i, path[i] the child taken from it."""
     for parent, i in zip(reversed(parents), reversed(path)):
@@ -452,23 +457,17 @@ def _close_j_args(node: Term, jrules: JRules | None) -> Term | None:
 # full-beta contraction, used by the confluence sampler and erasure
 
 def redex_positions(t: Term, jrules: JRules | None = None) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
-    stack: list[tuple[Term, tuple[int, ...]]] = [(t, ())]
-    while stack:
-        node, path = stack.pop()
-        if _match_redex(node, jrules) is not None:
-            out.append(path)
-        ch = _children(node)
-        for i in range(len(ch) - 1, -1, -1):
-            stack.append((ch[i], path + (i,)))
-    return sorted(out)
+    """Every redex position of t, in lexicographic (preorder) order."""
+    return [tuple(path) for _, path, _ in _redexes(t, jrules)]
 
 
 def contract_at(t: Term, path: tuple[int, ...], jrules: JRules | None = None) -> Term:
     parents: list[Term] = []
     for i in path:
+        if i not in (0, 1) or type(t) not in (Lam, App, Pi):
+            raise ValueError("no redex at position")
         parents.append(t)
-        t = _children(t)[i]
+        t = t.right if i else t.left
     red = _match_redex(t, jrules)
     if red is None:
         raise ValueError("no redex at position")

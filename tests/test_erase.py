@@ -4,9 +4,8 @@ import pytest
 
 from ptslab.term import (App, Lam, Var, contract_at, normalize, NormalForm,
                          redex_positions, step_normal_order, substitute)
-from ptslab.erase import (EraseError, UNTYPED, erase, u_one_step_reachable,
-                          u_pretty)
-from ptslab.syntax import parse_term
+from ptslab.erase import EraseError, UNTYPED, erase, u_one_step_reachable
+from ptslab.syntax import parse_term, pretty
 from ptslab.encodings import definitions
 from ptslab.corpus import welltyped_corpus
 
@@ -25,7 +24,7 @@ def test_erase_identity():
 def test_erase_self_application():
     got = erase(parse_term("ID {rho} ID", F))
     assert got == App(lam(Var(0)), lam(Var(0)))
-    assert u_pretty(got) == "(\\x. x) (\\x. x)"
+    assert pretty(got) == "(\\x. x) (\\x. x)"
 
 
 def test_erase_boolean():

@@ -157,6 +157,165 @@ def test_contract_at_on_deep_spine():
     assert contract_at(t, p) == app(a, *[a] * 4999)
 
 
+def test_contract_at_rejects_paths_that_reach_no_redex():
+    # redexes at () and (1,); index 2 must not be read as "right"
+    ident = Lam(STAR_SORT, Var(0))
+    t = App(ident, App(ident, Var(0)))
+    for path in [(2,), (1, 1), (1, 1, 0), (0,), (0, 0), (1, 0)]:
+        with pytest.raises(ValueError, match="no redex at position"):
+            contract_at(t, path)
+    assert contract_at(t, (1,)) == App(ident, Var(0))
+
+
+# --- one redex walk: the same answers as the two walks it replaced ---------
+
+_NODES = (Lam, App, Pi)
+
+
+def reference_step(t, jrules=None):
+    """The frame-list search that step_normal_order replaced, with its
+    inline rebuild and its normality marking."""
+    beta, betaj = term_module._NF_BETA, term_module._NF_BETAJ
+    want = betaj if jrules is not None else beta
+    mark = (beta | betaj) if jrules is not None else beta
+    frames = [[t, -1]]
+    while frames:
+        f = frames[-1]
+        node = f[0]
+        if f[1] == -1:
+            if node.nf & want:
+                frames.pop()
+                continue
+            red = term_module._match_redex(node, jrules)
+            if red is not None:
+                rule, res = red
+                path = tuple(fr[1] - 1 for fr in frames[:-1])
+                for fr in reversed(frames[:-1]):
+                    parent, idx = fr[0], fr[1] - 1
+                    if idx == 0:
+                        res = type(parent)(res, parent.right)
+                    else:
+                        res = type(parent)(parent.left, res)
+                return res, path, rule
+            f[1] = 0
+        ch = (node.left, node.right) if type(node) in _NODES else ()
+        if f[1] < len(ch):
+            f[1] += 1
+            frames.append([ch[f[1] - 1], -1])
+        else:
+            node.nf |= mark
+            frames.pop()
+    return None
+
+
+def reference_positions(t, jrules=None):
+    """The walk that redex_positions replaced: every node, whatever its
+    normality bits, then sorted."""
+    out = []
+    stack = [(t, ())]
+    while stack:
+        node, path = stack.pop()
+        if term_module._match_redex(node, jrules) is not None:
+            out.append(path)
+        if type(node) in _NODES:
+            stack.append((node.right, path + (1,)))
+            stack.append((node.left, path + (0,)))
+    return sorted(out)
+
+
+def unmarked_copy(t, memo=None):
+    """t rebuilt with no normality bits set; shared subtrees stay shared,
+    and leaves, which always carry both bits, are reused."""
+    if type(t) not in _NODES:
+        return t
+    memo = {} if memo is None else memo
+    if id(t) not in memo:
+        memo[id(t)] = type(t)(unmarked_copy(t.left, memo),
+                              unmarked_copy(t.right, memo))
+    return memo[id(t)]
+
+
+def nf_bits(t):
+    """The normality bits of t's distinct nodes, in preorder."""
+    out, seen, stack = [], set(), [t]
+    while stack:
+        n = stack.pop()
+        if id(n) not in seen:
+            seen.add(id(n))
+            out.append(n.nf)
+            if type(n) in _NODES:
+                stack += (n.right, n.left)
+    return out
+
+
+def assert_walk_matches_reference(t, jrules=None):
+    """Compare one step, the normality marks it leaves, every redex
+    position and their contractions with the reference walks; t may carry
+    marks from earlier work.  Returns the reduct, or None."""
+    a, b = unmarked_copy(t), unmarked_copy(t)
+    want = reference_step(a, jrules)
+    got = step_normal_order(b, jrules)
+    assert got == want
+    assert nf_bits(b) == nf_bits(a)
+    assert step_normal_order(t, jrules) == want
+    positions = redex_positions(t, jrules)
+    assert positions == reference_positions(t, jrules)
+    if want is None:
+        assert positions == []
+        return None
+    assert type(got[1]) is tuple
+    assert got[1] == positions[0]
+    assert contract_at(t, got[1], jrules) == got[0]
+    for p in positions:
+        contract_at(t, p, jrules)
+    return got[0]
+
+
+def assert_reduction_matches_reference(t, steps, jrules=None):
+    cur = t
+    for _ in range(steps):
+        cur = assert_walk_matches_reference(cur, jrules)
+        if cur is None:
+            break
+
+
+def test_walk_matches_reference_on_corpus():
+    for t, _ in welltyped_corpus(200, seed=12, max_nodes=60):
+        assert_reduction_matches_reference(t, 40)
+
+
+def test_walk_matches_reference_on_wellscoped_terms():
+    rng = random.Random(13)
+    for _ in range(300):
+        assert_reduction_matches_reference(random_wellscoped(rng, 25), 20)
+
+
+def test_walk_matches_reference_on_j_loop():
+    fj = definitions("f+j")
+    start = App(App(fj["K"], fj["rho"]), fj["K"])
+    assert_reduction_matches_reference(start, 12, JRules())
+    assert_reduction_matches_reference(start, 12)
+
+
+def test_walk_matches_reference_on_hurkens_prefix():
+    assert_reduction_matches_reference(build_hurkens(), 40)
+
+
+def test_walk_matches_reference_after_normalize():
+    # normalize leaves normality bits on the subterms it scanned; the walk
+    # skips them, the reference walk of positions does not
+    for t, _ in welltyped_corpus(100, seed=14, max_nodes=60):
+        normalize(t, 3, keep_steps=False)
+        assert_walk_matches_reference(t)
+        normalize(t, 10_000, keep_steps=False)
+        assert_walk_matches_reference(t)
+        assert_walk_matches_reference(t, JRules())
+    fj = definitions("f+j")
+    loop = App(App(fj["K"], fj["rho"]), fj["K"])
+    normalize(loop, 2, jrules=JRules())
+    assert_reduction_matches_reference(loop, 6, JRules())
+
+
 # --- normalize -------------------------------------------------------------
 
 def test_bool_projection():
