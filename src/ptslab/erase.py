@@ -8,7 +8,7 @@ substitution, redex search and contraction serve them unchanged.
 from __future__ import annotations
 
 from .term import (App, Lam, Pi, PrimJ, Sort, Term, Var, STAR, UNTYPED,
-                   contract_at, redex_positions)
+                   _rebuild, _redexes)
 
 
 class EraseError(Exception):
@@ -51,5 +51,7 @@ def erase(t: Term) -> Term:
 
 def u_one_step_reachable(a: Term, b: Term) -> bool:
     """True when the erased term b is a by zero steps or by one beta
-    contraction."""
-    return a == b or any(contract_at(a, p) == b for p in redex_positions(a))
+    contraction.  One walk: each contractum is built once, then put in
+    place."""
+    return a == b or any(_rebuild(parents, path, contractum) == b
+                         for parents, path, (_, contractum) in _redexes(a, None))

@@ -276,15 +276,21 @@ def parse_term(text: str, defs: dict[str, Term] | None = None) -> Term:
 
 def _mentions_bound(t: Term, cutoff: int = 0) -> bool:
     """Does t use the variable with index `cutoff` free in t?"""
-    if t.fvb <= cutoff:
-        return False
-    tt = type(t)
-    if tt is Var:
-        return t.index == cutoff
-    if tt is App:
-        return _mentions_bound(t.left, cutoff) or _mentions_bound(t.right, cutoff)
-    if tt in (Lam, Pi):
-        return _mentions_bound(t.left, cutoff) or _mentions_bound(t.right, cutoff + 1)
+    stack = [(t, cutoff)]
+    while stack:
+        t, cutoff = stack.pop()
+        if t.fvb <= cutoff:
+            continue
+        tt = type(t)
+        if tt is Var:
+            if t.index == cutoff:
+                return True
+        elif tt is App:
+            stack.append((t.right, cutoff))
+            stack.append((t.left, cutoff))
+        elif tt in (Lam, Pi):
+            stack.append((t.right, cutoff + 1))
+            stack.append((t.left, cutoff))
     return False
 
 

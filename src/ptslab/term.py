@@ -1,13 +1,20 @@
 """Shared term language: de Bruijn terms, substitution, beta/delta reduction.
 
 Terms are immutable; structural equality on the de Bruijn representation is
-alpha-equivalence.  Every node caches its hash, an upper bound on its free
-indices (``fvb``) and a normality bitmask, which is what makes long reduction
-runs (the paradox demos burn through 10^6 contractions) affordable in pure
-Python: closed subtrees are shared, never copied, and the one normal-order
-redex walk, behind both step_normal_order and redex_positions, skips every
-subtree whose normality bit is set.  head_step, the weak-head step of the
-checker, walks the application spine only.
+alpha-equivalence.  Every node caches an upper bound on its free indices
+(``fvb``), a normality bitmask and its hash, which is what makes long
+reduction runs (the paradox demos burn through 10^6 contractions)
+affordable in pure Python: closed subtrees are shared, never copied, and
+the one normal-order redex walk, behind both step_normal_order and
+redex_positions, skips every subtree whose normality bit is set.  head_step,
+the weak-head step of the checker, walks the application spine only.
+
+Hashes are cached on construction, except on the ancestors that _rebuild
+puts above a contractum (and on nodes built over such an ancestor): a step
+rebuilds its whole path to the root, and nothing reads those hashes unless
+the term goes into a hash table.  hash() fills a missing hash on demand,
+children first, with the same formula, so a term hashes the same however
+it was built.
 
 Reduction positions are tuples of 0/1: 0 selects fun/domain, 1 selects
 arg/body/codomain.
@@ -30,7 +37,8 @@ class Term:
     __slots__ = ("_hash", "fvb", "nf")
 
     def __hash__(self) -> int:
-        return self._hash
+        h = self._hash
+        return h if h is not None else _fill_hash(self)
 
     def __eq__(self, other):
         if self is other:
@@ -42,7 +50,8 @@ class Term:
             x, y = stack.pop()
             if x is y:
                 continue
-            if x._hash != y._hash:
+            hx, hy = x._hash, y._hash
+            if hx != hy and hx is not None and hy is not None:
                 return False
             tx = type(x)
             if tx is not type(y):
@@ -100,37 +109,69 @@ class PrimJ(Term):
         self._hash = hash((0x4A00,))
 
 
+# Lam, App and Pi hash as hash((tag, left hash, right hash)); a node with an
+# unhashed child stays unhashed until hash() asks (_fill_hash).
+
 class Lam(Term):
     __slots__ = ("left", "right")
+    tag = 0x4C33
 
     def __init__(self, domain: Term, body: Term):
         self.left = domain
         self.right = body
-        self.fvb = max(domain.fvb, body.fvb - 1)
+        a, b = domain.fvb, body.fvb - 1
+        self.fvb = a if a > b else b
         self.nf = 0
-        self._hash = hash((0x4C33, domain._hash, body._hash))
+        a, b = domain._hash, body._hash
+        self._hash = (None if a is None or b is None
+                      else hash((0x4C33, a, b)))
 
 
 class App(Term):
     __slots__ = ("left", "right")
+    tag = 0x4155
 
     def __init__(self, fun: Term, arg: Term):
         self.left = fun
         self.right = arg
-        self.fvb = max(fun.fvb, arg.fvb)
+        a, b = fun.fvb, arg.fvb
+        self.fvb = a if a > b else b
         self.nf = 0
-        self._hash = hash((0x4155, fun._hash, arg._hash))
+        a, b = fun._hash, arg._hash
+        self._hash = (None if a is None or b is None
+                      else hash((0x4155, a, b)))
 
 
 class Pi(Term):
     __slots__ = ("left", "right")
+    tag = 0x5044
 
     def __init__(self, domain: Term, codomain: Term):
         self.left = domain
         self.right = codomain
-        self.fvb = max(domain.fvb, codomain.fvb - 1)
+        a, b = domain.fvb, codomain.fvb - 1
+        self.fvb = a if a > b else b
         self.nf = 0
-        self._hash = hash((0x5044, domain._hash, codomain._hash))
+        a, b = domain._hash, codomain._hash
+        self._hash = (None if a is None or b is None
+                      else hash((0x5044, a, b)))
+
+
+def _fill_hash(t: Term) -> int:
+    """Compute and cache the missing hashes of t's subtree, children first;
+    leaves always carry theirs."""
+    stack = [t]
+    while stack:
+        node = stack[-1]
+        a, b = node.left._hash, node.right._hash
+        if a is None:
+            stack.append(node.left)
+        elif b is None:
+            stack.append(node.right)
+        else:
+            node._hash = hash((node.tag, a, b))
+            stack.pop()
+    return t._hash
 
 
 J = PrimJ()
@@ -159,41 +200,44 @@ def spine(t: Term) -> tuple[Term, list[Term]]:
 # ---------------------------------------------------------------------------
 # index arithmetic
 
-def _rewrite(t: Term, cutoff: int, on_var):
-    """Rebuild t applying on_var(index, cutoff) to every Var with index >= the
-    local cutoff.  Subtrees without such variables are returned as-is."""
+def _rewrite(t: Term, cutoff: int, arg: Term | None, by: int) -> Term:
+    """Rebuild t, replacing every Var whose index i is at least the local
+    cutoff c (cutoff plus the binders above it): by arg shifted by c when
+    arg is given and i == c, else by Var(i + by).  Subtrees without such
+    variables are returned as-is."""
+    closed = arg is not None and arg.fvb == 0
     out: list[Term] = []
+    emit, take = out.append, out.pop
     # reduction shares subtrees heavily; memoise on node identity so each
     # physical subtree is rebuilt once per cutoff instead of once per path
     memo: dict[tuple[int, int], Term] = {}
-    stack: list[tuple[Term, int, int]] = [(t, cutoff, 0)]
+    stack: list[tuple[Term, int, bool]] = [(t, cutoff, False)]
+    push, pop = stack.append, stack.pop
     while stack:
-        node, cut, stage = stack.pop()
-        if stage == 0:
-            if node.fvb <= cut:
-                out.append(node)
-                continue
+        node, cut, done = pop()
+        if done:
+            b = take()
+            a = take()
+            res = node if a is node.left and b is node.right else type(node)(a, b)
+            memo[id(node), cut] = res
+            emit(res)
+        elif node.fvb <= cut:
+            emit(node)
+        elif type(node) is Var:
+            i = node.index
+            if i != cut or arg is None:
+                emit(Var(i + by))
+            else:
+                emit(arg if closed else shift(arg, cut))
+        else:
             hit = memo.get((id(node), cut))
             if hit is not None:
-                out.append(hit)
-                continue
-            tn = type(node)
-            if tn is Var:
-                out.append(on_var(node.index, cut))
+                emit(hit)
             else:
-                stack.append((node, cut, 1))
-                bump = 0 if tn is App else 1
-                stack.append((node.right, cut + bump, 0))
-                stack.append((node.left, cut, 0))
-        else:
-            b = out.pop()
-            a = out.pop()
-            if a is node.left and b is node.right:
-                res = node
-            else:
-                res = type(node)(a, b)
-            memo[(id(node), cut)] = res
-            out.append(res)
+                push((node, cut, True))
+                push((node.right, cut if type(node) is App else cut + 1,
+                      False))
+                push((node.left, cut, False))
     return out[0]
 
 
@@ -201,20 +245,15 @@ def shift(t: Term, by: int, cutoff: int = 0) -> Term:
     """Add `by` to every free index >= cutoff."""
     if by == 0 or t.fvb <= cutoff:
         return t
-    return _rewrite(t, cutoff, lambda i, c: Var(i + by))
+    return _rewrite(t, cutoff, None, by)
 
 
 def substitute(body: Term, arg: Term) -> Term:
     """Capture-avoiding substitution of arg for the outermost bound variable
     of a binder scope; remaining free indices are re-adjusted."""
-    closed = arg.fvb == 0
-
-    def on_var(i: int, cut: int) -> Term:
-        if i == cut:
-            return arg if closed else shift(arg, cut)
-        return Var(i - 1)
-
-    return _rewrite(body, 0, on_var)
+    if body.fvb == 0:
+        return body
+    return _rewrite(body, 0, arg, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -267,16 +306,26 @@ def _redexes(t: Term, jrules: JRules | None):
     mark = (_NF_BETA | _NF_BETAJ) if jrules is not None else _NF_BETA
     parents: list[Term] = []
     path: list[int] = []
+    down, turn = parents.append, path.append
     node = t
     while True:
         if not node.nf & want:
-            # leaves carry both bits, so node has children
-            red = _match_redex(node, jrules)
-            if red is not None:
-                mark = 0    # node and its ancestors are not normal
-                yield parents, path, red
-            parents.append(node)
-            path.append(0)
+            # leaves carry both bits, so node has children; the beta test
+            # is _match_redex's, inline, which leaves it the J heads
+            if type(node) is App:
+                f = node.left
+                if type(f) is Lam:
+                    mark = 0    # node and its ancestors are not normal
+                    yield parents, path, (RULE_BETA,
+                                          substitute(f.right, node.right))
+                elif (jrules is not None and type(f) is App
+                      and type(f.left) is App and type(f.left.left) is PrimJ):
+                    red = _match_redex(node, jrules)
+                    if red is not None:
+                        mark = 0
+                        yield parents, path, red
+            down(node)
+            turn(0)
             node = node.left
             continue
         while parents:
@@ -362,6 +411,8 @@ def normalize(t: Term, fuel: int = DEFAULT_FUEL, detect_cycles: bool = False,
     while True:
         if seen is not None:
             h = cur._hash
+            if h is None:
+                h = _fill_hash(cur)
             first = seen.setdefault(h, count)
             if first != count:
                 earlier = [first, *clashes.get(h, ())]
@@ -409,15 +460,30 @@ def normal_form_of(t: Term, fuel: int = DEFAULT_FUEL, jrules: JRules | None = No
     return None
 
 
+_new = object.__new__
+
+
 def _rebuild(parents: list[Term], path: list[int] | tuple[int, ...],
              new: Term) -> Term:
     """Put new in place of the subterm reached from parents[0] along path;
-    parents[i] is the node at depth i, path[i] the child taken from it."""
-    for parent, i in zip(reversed(parents), reversed(path)):
-        if i == 0:
-            new = type(parent)(new, parent.right)
+    parents[i] is the node at depth i, path[i] the child taken from it.
+    Each rebuilt ancestor gets the fields its constructor would give it but
+    the hash, which stays unset until hash() asks for it."""
+    for k in range(len(parents) - 1, -1, -1):
+        parent = parents[k]
+        if path[k]:
+            left, right = parent.left, new
         else:
-            new = type(parent)(parent.left, new)
+            left, right = new, parent.right
+        cls = type(parent)
+        new = _new(cls)
+        new.left = left
+        new.right = right
+        a = left.fvb
+        b = right.fvb if cls is App else right.fvb - 1
+        new.fvb = a if a > b else b
+        new.nf = 0
+        new._hash = None
     return new
 
 

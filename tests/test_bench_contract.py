@@ -7,6 +7,7 @@ from collections import Counter
 from pathlib import Path
 
 import ptslab.term as term_module
+from ptslab.codes import build_flat_machinery, church
 from ptslab.encodings import definitions
 from ptslab.term import App, JRules
 
@@ -50,3 +51,19 @@ def test_tracer_counts_the_contractions_of_the_trace():
     paths = [s.position for s in tr.steps] + [last_path]
     assert tracer.contractions == Counter(rules)
     assert tracer.redex_depth_sum == sum(len(p) for p in paths)
+
+
+def test_tracer_sees_one_substitution_per_beta_contraction():
+    # the redex walk tests the beta pattern inline; it must still call the
+    # module's substitute by name, or the traced substitution layer reads 0
+    fm = build_flat_machinery()
+    start = App(fm.flat, church(2))
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        tr = term_module.normalize(start, 100_000, keep_steps=False)
+    finally:
+        tracer.uninstall()
+    assert type(tr.outcome) is term_module.NormalForm
+    assert tracer.calls["term.substitute"] == tracer.contractions["beta"] \
+        == tr.step_count == 401

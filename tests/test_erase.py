@@ -61,6 +61,46 @@ def test_one_step_reachable():
     assert not u_one_step_reachable(t, Var(0))
 
 
+def reference_one_step_reachable(a, b):
+    """The two-pass check: every position, then each contraction again."""
+    return a == b or any(contract_at(a, p) == b for p in redex_positions(a))
+
+
+def test_one_step_reachable_builds_each_contractum_once(monkeypatch):
+    import ptslab.term as term_module
+    calls = []
+    real = term_module.substitute
+
+    def counting(body, arg):
+        calls.append(body)
+        return real(body, arg)
+
+    monkeypatch.setattr(term_module, "substitute", counting)
+    i = lam(Var(0))
+    t = App(i, App(i, App(i, i)))
+    assert not u_one_step_reachable(t, Var(0))
+    assert len(calls) == 3
+
+
+def test_one_step_reachable_matches_two_pass_check():
+    verdicts = []
+    for t, _ in welltyped_corpus(300, seed=21, max_nodes=60):
+        # an erased term's own normal-order reducts, up to three steps on
+        path = [erase(t)]
+        while len(path) < 12:
+            r = step_normal_order(path[-1])
+            if r is None:
+                break
+            path.append(r[0])
+        for i, a in enumerate(path):
+            for b in [Var(0), *path[i:i + 4]]:
+                got = u_one_step_reachable(a, b)
+                assert got == reference_one_step_reachable(a, b)
+                verdicts.append(got)
+    assert verdicts.count(False) > len(verdicts) // 4
+    assert verdicts.count(True) > len(verdicts) // 4
+
+
 def test_erasure_simulation():
     # each typed contraction maps to at most one untyped contraction
     violations = 0

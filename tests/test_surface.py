@@ -3,8 +3,8 @@ import random
 import pytest
 
 from ptslab.term import App, Lam, Pi, Sort, STAR_SORT, Var
-from ptslab.syntax import (Check, Definition, ParseError, SourceFile, parse,
-                           parse_term, pretty)
+from ptslab.syntax import (Check, Definition, ParseError, SourceFile,
+                           _mentions_bound, parse, parse_term, pretty)
 from ptslab.encodings import definitions, registry
 from ptslab.corpus import random_wellscoped, welltyped_corpus
 
@@ -129,6 +129,18 @@ def test_pretty_folds_definitions():
 def test_pretty_free_variables():
     assert pretty(Var(0), free_names=["a"]) == "a"
     assert pretty(Var(2), free_names=["a"]) == "f1"
+
+
+def test_mentions_bound_on_deep_spine():
+    # the printer asks whether a Pi's codomain uses its binder; a deep
+    # codomain once raised RecursionError
+    spine = Var(1)
+    for _ in range(10_000):
+        spine = App(spine, Var(1))
+    assert not _mentions_bound(spine, 0)
+    assert _mentions_bound(App(spine, Var(0)), 0)
+    assert _mentions_bound(App(Var(0), spine), 0)
+    assert _mentions_bound(Lam(spine, spine), 1)
 
 
 # --- round trips -----------------------------------------------------------

@@ -12,6 +12,7 @@ from ptslab.syntax import parse_term
 from ptslab.encodings import definitions
 from ptslab.corpus import random_wellscoped, welltyped_corpus
 from ptslab.paradox import build_hurkens
+from ptslab.codes import build_flat_machinery, church
 
 
 DEFS = definitions("f")
@@ -314,6 +315,79 @@ def test_walk_matches_reference_after_normalize():
     loop = App(App(fj["K"], fj["rho"]), fj["K"])
     normalize(loop, 2, jrules=JRules())
     assert_reduction_matches_reference(loop, 6, JRules())
+
+
+# --- hashes on demand: rebuilt ancestors hash and compare as built ones ----
+
+def constructor_copy(t):
+    """t with every node whose hash is unset rebuilt bottom-up by the
+    constructors, which hash on construction; hashed subtrees are shared,
+    so the copy costs what the unhashed part of t costs."""
+    memo = {}
+    stack = [t]
+    while stack:
+        node = stack[-1]
+        if node._hash is not None or id(node) in memo:
+            stack.pop()
+            continue
+        todo = [c for c in (node.right, node.left)
+                if c._hash is None and id(c) not in memo]
+        if todo:
+            stack += todo
+            continue
+        stack.pop()
+        memo[id(node)] = type(node)(memo.get(id(node.left), node.left),
+                                    memo.get(id(node.right), node.right))
+    return memo.get(id(t), t)
+
+
+def assert_steps_hash_as_built(tr):
+    """Every reduct of the trace equals, and hashes as, its copy built by
+    the constructors; returns how many reducts had their hash left unset."""
+    lazy = 0
+    for s in tr.steps:
+        lazy += s.after._hash is None
+        copy = constructor_copy(s.after)
+        assert copy._hash is not None
+        assert s.after == copy          # hashes still unset on one side
+        assert hash(s.after) == hash(copy)
+        assert s.after == copy and copy == s.after
+    return lazy
+
+
+def test_rebuilt_reducts_hash_as_built_on_flat():
+    fm = build_flat_machinery()
+    for k in range(1, 9):
+        tr = normalize(App(fm.flat, church(k)), 100_000)
+        assert type(tr.outcome) is NormalForm
+        # flat's redexes sit under the spine, so most reducts are rebuilt
+        assert assert_steps_hash_as_built(tr) > tr.step_count // 2
+
+
+def test_rebuilt_reducts_hash_as_built_on_hurkens_prefix():
+    tr = normalize(build_hurkens(), 2000)
+    assert assert_steps_hash_as_built(tr) > 0
+
+
+def test_rebuilt_reducts_hash_as_built_on_j_loop():
+    fj = definitions("f+j")
+    tr = normalize(App(App(fj["K"], fj["rho"]), fj["K"]), 60, jrules=JRules())
+    assert {s.rule for s in tr.steps} > {"beta"}
+    assert assert_steps_hash_as_built(tr) > 0
+
+
+def test_deep_rebuilt_spine_hashes_compares_and_rewrites():
+    # a beta redex at the bottom of a 10^4-deep left spine of free variables
+    t = App(Lam(STAR_SORT, App(Var(0), Var(1))), Var(2))
+    for i in range(10_000):
+        t = App(t, Var(i % 3))
+    r, path, _ = step_normal_order(t)
+    assert len(path) == 10_000 and r._hash is None
+    copy = constructor_copy(r)
+    assert hash(r) == hash(copy)
+    assert r == copy
+    assert substitute(r, Var(7)) == substitute(copy, Var(7))
+    assert shift(r, 2) == shift(copy, 2)
 
 
 # --- normalize -------------------------------------------------------------
