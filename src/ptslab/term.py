@@ -21,6 +21,7 @@ arg/body/codomain.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 STAR = "*"
@@ -283,10 +284,12 @@ def _match_redex(node: Term, jrules: JRules | None):
         if type(g) is App and type(g.left) is PrimJ:
             s, t, m = g.right, f.right, node.right
             if s.fvb == 0 and t.fvb == 0:
-                ns = normalize(s, jrules.type_fuel, keep_steps=False)
-                nt = normalize(t, jrules.type_fuel, keep_steps=False)
-                if type(ns.outcome) is NormalForm and type(nt.outcome) is NormalForm:
-                    if ns.outcome.term == nt.outcome.term:
+                # an argument the walk has marked beta-normal is its own
+                # normal form
+                ns = s if s.nf & _NF_BETA else normal_form_of(s, jrules.type_fuel)
+                nt = t if t.nf & _NF_BETA else normal_form_of(t, jrules.type_fuel)
+                if ns is not None and nt is not None:
+                    if ns == nt:
                         return RULE_J_EQ, m
                     return RULE_J_NEQ, Lam(t, Var(0))
     return None
@@ -389,9 +392,15 @@ def normalize(t: Term, fuel: int = DEFAULT_FUEL, detect_cycles: bool = False,
     CycleDetected when the same term (up to alpha) recurs and detect_cycles
     is set.
 
-    The cycle table keeps no terms: it maps each term's cached hash to the
-    step count ``first`` at which that hash first appeared, so it holds
-    ints only (at most ~256 bytes per step; ~105 measured on CPython 3.11).
+    The cycle table keeps no terms, only two packed arrays: ``fps[c]`` is
+    the cached hash of the term after c steps, and an open-addressing table
+    of step indices (see _slot_table), probed linearly, maps each distinct
+    hash to the first step that had it.  Its load stays at most 0.5: when
+    the steps so far fill half of it, it is rebuilt from fps at twice the
+    size.  With 4-byte slots (fuel below 2^31) that is 16 to 24 bytes per
+    step, 32 while a rebuild holds both tables; 8-byte slots add 8 to 16.
+    tracemalloc measured a peak of 22 bytes per step over 10^5 Hurkens
+    steps on CPython 3.11.
     A hit is confirmed by structural equality against the earlier term,
     read from the kept steps, or else recomputed by replaying ``first``
     steps from t (the reducer is deterministic): at most ``first`` extra
@@ -404,17 +413,35 @@ def normalize(t: Term, fuel: int = DEFAULT_FUEL, detect_cycles: bool = False,
     if fuel < 0:
         raise ValueError("fuel must be >= 0")
     steps: list[Step] = []
-    seen: dict[int, int] | None = {} if detect_cycles else None
+    fps = array("q") if detect_cycles else None
+    if fps is not None:
+        # step indices never exceed fuel; 4-byte slots when they fit
+        code = "i" if fuel <= _INT_MAX else "q"
+        slots = _slot_table(fps, code)
+        mask = len(slots) - 1
+        full = len(slots) // 2 - 1   # the count whose insertion fills half
+        remember = fps.append
     clashes: dict[int, list[int]] = {}
     cur = t
     count = 0
     while True:
-        if seen is not None:
+        if fps is not None:
             h = cur._hash
             if h is None:
                 h = _fill_hash(cur)
-            first = seen.setdefault(h, count)
-            if first != count:
+            remember(h)
+            i = h & mask    # _slot_table's probe, inline
+            first = slots[i]
+            while first >= 0 and fps[first] != h:
+                i = (i + 1) & mask
+                first = slots[i]
+            if first < 0:
+                slots[i] = count
+                if count >= full:
+                    slots = _slot_table(fps, code)
+                    mask = len(slots) - 1
+                    full = len(slots) // 2 - 1
+            else:
                 earlier = [first, *clashes.get(h, ())]
                 first = _recurrence(t, cur, earlier, steps if keep_steps else None,
                                     jrules)
@@ -432,6 +459,31 @@ def normalize(t: Term, fuel: int = DEFAULT_FUEL, detect_cycles: bool = False,
             steps.append(Step(path, rule, cur, nxt))
         cur = nxt
         count += 1
+
+
+_INT_MAX = 2 ** (8 * array("i").itemsize - 1) - 1
+
+
+def _slot_table(fps: array, code: str) -> array:
+    """The slot table of normalize's cycle table, built from fps: a power of
+    two of at least 1024 and at least 4 * len(fps) slots of typecode code.
+    For each distinct hash h in fps, the first index c with fps[c] == h sits
+    in the first free slot from h & (size - 1) on (linear probing); the
+    other slots hold -1."""
+    size = 1024
+    while size < 4 * len(fps):
+        size *= 2
+    slots = array(code, [-1]) * size
+    mask = size - 1
+    for c, h in enumerate(fps):
+        i = h & mask
+        s = slots[i]
+        while s >= 0 and fps[s] != h:
+            i = (i + 1) & mask
+            s = slots[i]
+        if s < 0:
+            slots[i] = c
+    return slots
 
 
 def _recurrence(t: Term, cur: Term, counts: list[int], steps: list[Step] | None,

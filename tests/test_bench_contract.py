@@ -9,6 +9,7 @@ from pathlib import Path
 import ptslab.term as term_module
 from ptslab.codes import build_flat_machinery, church
 from ptslab.encodings import definitions
+from ptslab.paradox import build_hurkens
 from ptslab.term import App, JRules
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -67,3 +68,18 @@ def test_tracer_sees_one_substitution_per_beta_contraction():
     assert type(tr.outcome) is term_module.NormalForm
     assert tracer.calls["term.substitute"] == tracer.contractions["beta"] \
         == tr.step_count == 401
+
+
+def test_cycle_table_calls_no_traced_reducer():
+    # the cycle table probes and regrows on hashes alone: the tracer reads
+    # the contractions plus the one search at the fuel limit
+    start = build_hurkens()
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        tr = term_module.normalize(start, 3000, detect_cycles=True,
+                                   keep_steps=False)
+    finally:
+        tracer.uninstall()
+    assert type(tr.outcome) is term_module.FuelExhausted
+    assert tracer.contractions["beta"] == tr.step_count + 1 == 3001

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from array import array
 
 import pytest
 
@@ -540,8 +541,78 @@ def test_cycle_table_survives_a_forged_hash_collision(monkeypatch, back_to,
     assert got.outcome.period == period
 
 
+CYCLE = 5000
+FORGED_AT = 3000
+
+
+def _cycling_reducer(monkeypatch, forged_at=None, back_to=0):
+    """Patch the reducer to run through CYCLE distinct Vars and then back to
+    the term after back_to steps; the term after forged_at steps, if given,
+    is distinct from the first but carries its hash."""
+    first = Var(0)
+
+    def after(j):
+        if j == forged_at:
+            forged = Var(CYCLE)
+            forged._hash = first._hash
+            return forged
+        return Var(j)
+
+    def step(t, jrules=None):
+        j = forged_at if t.index == CYCLE else t.index
+        return after(j + 1 if j + 1 < CYCLE else back_to), (), "beta"
+
+    monkeypatch.setattr(term_module, "step_normal_order", step)
+    return first
+
+
+@pytest.mark.parametrize("forged_at,back_to", [(None, 0), (FORGED_AT, 0),
+                                               (FORGED_AT, FORGED_AT)])
+def test_cycle_table_finds_recurrences_across_regrowths(monkeypatch, forged_at,
+                                                        back_to):
+    # the first occurrence is in the slot table before every regrowth; the
+    # forged collision comes after the third
+    grown = []
+    build = term_module._slot_table
+
+    def spy(fps, code):
+        grown.append(len(fps))
+        return build(fps, code)
+
+    monkeypatch.setattr(term_module, "_slot_table", spy)
+    start = _cycling_reducer(monkeypatch, forged_at, back_to)
+    tr = assert_same_as_reference(start)
+    assert tr.step_count == CYCLE
+    assert tr.outcome.period == CYCLE - back_to
+    regrown = sorted({n for n in grown if n})
+    assert len(regrown) >= 4 and regrown[2] <= FORGED_AT
+
+
+def test_slot_table_maps_each_hash_to_its_first_step():
+    rng = random.Random(3)
+    hashes = [rng.getrandbits(64) - 2**63 for _ in range(3000)]
+    # runs of equal homes, one of them wrapping past the last slot, and
+    # repeated hashes
+    hashes += [k << 20 for k in range(50)] + [(k << 20) - 1 for k in range(50)]
+    hashes += hashes[::7]
+    first = {}
+    for c, h in enumerate(hashes):
+        first.setdefault(h, c)
+    fps = array("q", hashes)
+    slots = term_module._slot_table(fps, "i")
+    mask = len(slots) - 1
+    assert len(slots) >= 4 * len(fps)
+    assert sum(c >= 0 for c in slots) == len(first)
+    for h, c in first.items():
+        i = h & mask
+        while slots[i] >= 0 and fps[slots[i]] != h:
+            i = (i + 1) & mask
+        assert slots[i] == c
+
+
 def test_cycle_table_memory_is_bounded():
-    # about 256 bytes per step; the term-keyed table took ~11.7 MiB here
+    # about 0.55 MiB (29 bytes per step); the dict of hashes took 1.93 MiB
+    # here and the term-keyed table ~11.7 MiB
     t = build_hurkens()
     tracemalloc.start()
     try:
@@ -550,7 +621,7 @@ def test_cycle_table_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert type(tr.outcome) is FuelExhausted
-    assert peak <= 5 * 2**20
+    assert peak <= 2**20
 
 
 def test_trace_chains():
@@ -627,6 +698,23 @@ def test_j_equality_is_up_to_conversion():
     t = app(parse_term("J", DEFS), redex, DEFS["rho"], DEFS["Delta"])
     reduct, _, rule = step_normal_order(t, JRules())
     assert rule == "deltaJ-eq"
+
+
+def test_j_contraction_on_normal_arguments_normalizes_nothing(monkeypatch):
+    # the first contraction normalises rho and so marks it normal; the
+    # second reads the mark
+    t = parse_term(r"J {rho} {rho} Delta", DEFS)
+    assert step_normal_order(t, JRules())[2] == "deltaJ-eq"
+    calls = []
+    real = term_module.normalize
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(term_module, "normalize", counting)
+    assert step_normal_order(t, JRules())[2] == "deltaJ-eq"
+    assert calls == []
 
 
 def test_j_waits_for_open_types():
