@@ -284,12 +284,10 @@ def _match_redex(node: Term, jrules: JRules | None):
         if type(g) is App and type(g.left) is PrimJ:
             s, t, m = g.right, f.right, node.right
             if s.fvb == 0 and t.fvb == 0:
-                # an argument the walk has marked beta-normal is its own
-                # normal form
-                ns = s if s.nf & _NF_BETA else normal_form_of(s, jrules.type_fuel)
-                nt = t if t.nf & _NF_BETA else normal_form_of(t, jrules.type_fuel)
-                if ns is not None and nt is not None:
-                    if ns == nt:
+                ns = normalize(s, jrules.type_fuel, keep_steps=False)
+                nt = normalize(t, jrules.type_fuel, keep_steps=False)
+                if type(ns.outcome) is NormalForm and type(nt.outcome) is NormalForm:
+                    if ns.outcome.term == nt.outcome.term:
                         return RULE_J_EQ, m
                     return RULE_J_NEQ, Lam(t, Var(0))
     return None
@@ -396,11 +394,16 @@ def normalize(t: Term, fuel: int = DEFAULT_FUEL, detect_cycles: bool = False,
     the cached hash of the term after c steps, and an open-addressing table
     of step indices (see _slot_table), probed linearly, maps each distinct
     hash to the first step that had it.  Its load stays at most 0.5: when
-    the steps so far fill half of it, it is rebuilt from fps at twice the
-    size.  With 4-byte slots (fuel below 2^31) that is 16 to 24 bytes per
-    step, 32 while a rebuild holds both tables; 8-byte slots add 8 to 16.
-    tracemalloc measured a peak of 22 bytes per step over 10^5 Hurkens
-    steps on CPython 3.11.
+    the steps so far fill half of it, it is rebuilt from fps at four times
+    the size, but no larger than the run's fuel can fill.  That is 2 to 8
+    slots per step, of 4 bytes while fuel is below 2^31 (else 8), plus 8
+    bytes for fps: 16 to 40 bytes per step, 48 while a rebuild holds both
+    tables.  tracemalloc measured a peak of 26 bytes per step over 2*10^4
+    Hurkens steps and 21 over 10^5 on CPython 3.11.  Growing four-fold
+    rather than two-fold re-inserts about a third as many hashes (0.6
+    against 0.75 us of table work per Hurkens step of ~10 us) for emptier
+    slots; the cap bounds that cost: ``ptslab demo hurkens`` peaks at 33 MB
+    at 10^6 steps, as with two-fold growth, and at 41 MB without the cap.
     A hit is confirmed by structural equality against the earlier term,
     read from the kept steps, or else recomputed by replaying ``first``
     steps from t (the reducer is deterministic): at most ``first`` extra
@@ -415,9 +418,7 @@ def normalize(t: Term, fuel: int = DEFAULT_FUEL, detect_cycles: bool = False,
     steps: list[Step] = []
     fps = array("q") if detect_cycles else None
     if fps is not None:
-        # step indices never exceed fuel; 4-byte slots when they fit
-        code = "i" if fuel <= _INT_MAX else "q"
-        slots = _slot_table(fps, code)
+        slots = _slot_table(fps, fuel)
         mask = len(slots) - 1
         full = len(slots) // 2 - 1   # the count whose insertion fills half
         remember = fps.append
@@ -430,15 +431,12 @@ def normalize(t: Term, fuel: int = DEFAULT_FUEL, detect_cycles: bool = False,
             if h is None:
                 h = _fill_hash(cur)
             remember(h)
-            i = h & mask    # _slot_table's probe, inline
+            i = _probe(slots, mask, fps, h)
             first = slots[i]
-            while first >= 0 and fps[first] != h:
-                i = (i + 1) & mask
-                first = slots[i]
             if first < 0:
                 slots[i] = count
                 if count >= full:
-                    slots = _slot_table(fps, code)
+                    slots = _slot_table(fps, fuel)
                     mask = len(slots) - 1
                     full = len(slots) // 2 - 1
             else:
@@ -464,26 +462,36 @@ def normalize(t: Term, fuel: int = DEFAULT_FUEL, detect_cycles: bool = False,
 _INT_MAX = 2 ** (8 * array("i").itemsize - 1) - 1
 
 
-def _slot_table(fps: array, code: str) -> array:
-    """The slot table of normalize's cycle table, built from fps: a power of
-    two of at least 1024 and at least 4 * len(fps) slots of typecode code.
+def _slot_table(fps: array, fuel: int) -> array:
+    """The slot table of normalize's cycle table, built from fps: the least
+    power of two of at least 1024 that is at least 8 * len(fps) or more than
+    2 * (fuel + 1).  A run of that fuel adds at most fuel + 1 hashes, so a
+    table of the second size never fills half and is never rebuilt.  Slots
+    hold step indices, at most fuel: 4 bytes each when that fits, else 8.
     For each distinct hash h in fps, the first index c with fps[c] == h sits
     in the first free slot from h & (size - 1) on (linear probing); the
     other slots hold -1."""
     size = 1024
-    while size < 4 * len(fps):
+    while size < 8 * len(fps) and size <= 2 * (fuel + 1):
         size *= 2
-    slots = array(code, [-1]) * size
+    slots = array("i" if fuel <= _INT_MAX else "q", [-1]) * size
     mask = size - 1
     for c, h in enumerate(fps):
-        i = h & mask
-        s = slots[i]
-        while s >= 0 and fps[s] != h:
-            i = (i + 1) & mask
-            s = slots[i]
-        if s < 0:
+        i = _probe(slots, mask, fps, h)
+        if slots[i] < 0:
             slots[i] = c
     return slots
+
+
+def _probe(slots: array, mask: int, fps: array, h: int) -> int:
+    """The slot for hash h: the first from h & mask on (linearly, wrapping)
+    that is free (-1) or holds a step c with fps[c] == h."""
+    i = h & mask
+    c = slots[i]
+    while c >= 0 and fps[c] != h:
+        i = (i + 1) & mask
+        c = slots[i]
+    return i
 
 
 def _recurrence(t: Term, cur: Term, counts: list[int], steps: list[Step] | None,
