@@ -2,8 +2,8 @@
 
 from .term import (App, CycleDetected, DEFAULT_FUEL, FuelExhausted, J, JRules,
                    Lam, NormalForm, Pi, PrimJ, ReductionTrace, Sort, Step,
-                   Term, UNTYPED, Var, app, normal_form_of, normalize, shift,
-                   spine, step_normal_order, substitute)
+                   Term, UNTYPED, Var, app, normal_form_of, normalize,
+                   reducts, shift, step_normal_order, substitute)
 from .systems import (Context, EMPTY, Judgment, LAMBDA_ARROW, LAMBDA_STAR,
                       LAMBDA_U_MINUS, SYSTEM_F, SYSTEM_F_J, SYSTEMS,
                       SystemSpec, check, convertible, infer,

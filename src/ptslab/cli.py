@@ -14,8 +14,8 @@ from typing import NoReturn
 
 from .term import (App, CycleDetected, FuelExhausted, JRules, NormalForm,
                    normalize)
-from .syntax import ParseError, parse, pragma, pretty
-from .systems import (EMPTY, SYSTEMS, TypingError, infer)
+from .syntax import Definition, ParseError, parse, pragma, pretty
+from .systems import EMPTY, SYSTEMS, TypingError, check, infer
 from .encodings import definitions, registry
 from .erase import EraseError, erase as erase_term
 from . import codes as cd
@@ -50,11 +50,11 @@ def _usage_error(message: str) -> NoReturn:
     raise SystemExit(2)
 
 
-def _emit(args, payload: dict, text: str) -> None:
+def _emit(args, payload: dict, text: str, file=None) -> None:
     if args.json:
         print(json.dumps(payload))
     else:
-        print(text)
+        print(text, file=file)
 
 
 def _load(path: str, system_flag: str | None):
@@ -77,46 +77,45 @@ def _load(path: str, system_flag: str | None):
     return src, SYSTEMS[system]
 
 
-def _is_star(spec) -> bool:
-    return spec.name == "star"
+def _printer(spec):
+    """pretty for output in spec: star's sort prints as V, and registry
+    terms print as their names."""
+    star = spec.name == "star"
+    fold = {t: n for n, t in definitions(spec.name).items()}
+    return lambda t: pretty(t, star=star, fold=fold)
 
 
-def _fold_map(spec) -> dict:
-    """Display registry terms by their names in printed output."""
-    return {t: n for n, t in definitions(spec.name).items()}
+def _check_error(name: str, error: str, detail: str, position) -> dict:
+    return {"command": "check", "outcome": "error", "name": name,
+            "error": error, "detail": detail, "position": list(position)}
 
 
 def cmd_check(args) -> int:
     src, spec = _load(args.file, args.system)
-    star = _is_star(spec)
-    fold = _fold_map(spec)
+    show = _printer(spec)
     results = []
     defs: dict = {}
-    from .syntax import Definition
     for item in src.items:
         try:
             if type(item) is Definition:
                 j = infer(spec, EMPTY, item.term)
                 defs[item.name] = (item.term, j.type)
-                results.append({"name": item.name,
-                                "type": pretty(j.type, star=star, fold=fold)})
+                results.append({"name": item.name, "type": show(j.type)})
             else:
                 if item.name not in defs:
-                    print(f"error: check of undefined name {item.name}",
-                          file=sys.stderr)
+                    detail = f"check of undefined name {item.name}"
+                    _emit(args, _check_error(item.name, "UndefinedName",
+                                             detail, ()),
+                          f"error: {detail}", sys.stderr)
                     return 1
-                from .systems import check as check_op
-                check_op(spec, EMPTY, defs[item.name][0], item.type)
+                check(spec, EMPTY, defs[item.name][0], item.type)
                 results.append({"name": item.name, "checked": True,
-                                "type": pretty(item.type, star=star,
-                                               fold=fold)})
+                                "type": show(item.type)})
         except TypingError as exc:
-            _emit(args,
-                  {"command": "check", "outcome": "error", "name": item.name,
-                   "error": type(exc).__name__, "detail": str(exc),
-                   "position": list(getattr(exc, "position", ()))},
+            _emit(args, _check_error(item.name, type(exc).__name__, str(exc),
+                                     exc.position),
                   f"{args.file}: {item.name}: {type(exc).__name__}: {exc}"
-                  f" at {list(getattr(exc, 'position', ()))}")
+                  f" at {list(exc.position)}")
             return 1
     lines = "\n".join(
         f"{r['name']} : {r['type']}" for r in results)
@@ -135,8 +134,7 @@ def _find_term(src, name: str):
 
 def cmd_normalize(args) -> int:
     src, spec = _load(args.file, args.system)
-    star = _is_star(spec)
-    fold = _fold_map(spec)
+    show = _printer(spec)
     t = _find_term(src, args.term)
     fuel = _fuel(args.fuel, FUEL_NORMALIZE)
     jrules = JRules() if spec.with_j else None
@@ -145,20 +143,19 @@ def cmd_normalize(args) -> int:
     if args.trace and not args.json:
         for i, s in enumerate(tr.steps):
             print(f"{i:4d} {s.rule:10s} at {list(s.position)}: "
-                  f"{pretty(s.after, star=star, fold=fold)}")
+                  f"{show(s.after)}")
     out = tr.outcome
     if type(out) is NormalForm:
         _emit(args, {"command": "normalize", "outcome": "normal-form",
                      "steps": tr.step_count, "type": None,
-                     "term": pretty(out.term, star=star, fold=fold)},
-              pretty(out.term, star=star, fold=fold))
+                     "term": show(out.term)},
+              show(out.term))
         return 0
     if type(out) is CycleDetected:
         _emit(args, {"command": "normalize", "outcome": "cycle",
                      "steps": tr.step_count, "period": out.period,
-                     "type": None, "term": pretty(out.witness, star=star, fold=fold)},
-              f"cycle of period {out.period}: "
-              f"{pretty(out.witness, star=star, fold=fold)}")
+                     "type": None, "term": show(out.witness)},
+              f"cycle of period {out.period}: {show(out.witness)}")
         return 1
     _emit(args, {"command": "normalize", "outcome": "fuel-exhausted",
                  "steps": tr.step_count, "type": None},
@@ -196,17 +193,17 @@ def cmd_registry(args) -> int:
 def cmd_demo(args) -> int:
     if args.what == "loop":
         rep = px.build_loop(_fuel(args.fuel, FUEL_LOOP))
-        fold = _fold_map(SYSTEMS["f+j"])
+        show = _printer(SYSTEMS["f+j"])
         ok = (type(rep.trace.outcome) is CycleDetected
               and rep.trace.outcome.witness == rep.start
               and all(s >= 0 for s in rep.checkpoint_steps))
-        lines = [f"start: {pretty(rep.start, fold=fold)}"]
+        lines = [f"start: {show(rep.start)}"]
         for s in rep.trace.steps[:rep.period]:
-            lines.append(f"  --{s.rule}--> {pretty(s.after, fold=fold)}")
+            lines.append(f"  --{s.rule}--> {show(s.after)}")
         lines.append(f"cycle period {rep.period} (raw contractions)")
         _emit(args, {"command": "demo", "outcome":
                      "cycle" if ok else "unexpected", "steps": rep.period,
-                     "type": "rho", "term": pretty(rep.start, fold=fold)},
+                     "type": "rho", "term": show(rep.start)},
               "\n".join(lines))
         return 0 if ok else 1
     if args.what == "hurkens":

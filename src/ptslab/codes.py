@@ -104,14 +104,6 @@ def base_defs() -> dict[str, Term]:
     return dict(_base_defs())
 
 
-def build_list_type() -> Term:
-    return entry("List", "star").term
-
-
-def build_delta() -> Term:
-    return _base_defs()["delta"]
-
-
 def _ascending_chain(cases: dict[int, str], default: str, var: str = "n",
                      ty: str = "V") -> str:
     """sel-chain text dispatching on var = 1, 2, ... in order.  The test for
@@ -155,20 +147,8 @@ class CodeTable:
     def codes(self) -> list[int]:
         return [c for c, _, _ in self.terms]
 
-    def app_code(self, a: int, b: int) -> int:
-        return a * b
-
-    def app_term(self) -> Term:
-        return entry("mult", "star").term
-
     def typ_code(self, code: int) -> int | None:
         return dict(self.typ).get(code)
-
-    def pi(self, i: int) -> int:
-        return PRIMES[i]
-
-    def pi_term(self) -> Term:
-        return _base_defs()["pi"]
 
     def typ_term(self) -> Term:
         defs = _base_defs()
@@ -218,16 +198,11 @@ def _arrow_ty(defs, *parts: str) -> Term:
 
 @dataclass(frozen=True)
 class Prop1:
-    """f and its course-of-values list F, with the pieces they were built
+    """f, its course-of-values list F, and the base case g it was built
     from.  f x1..xp y : A."""
     f: Term
     F: Term
-    state_type: Term
-    A: Term
     g: Term
-    h: Term
-    ks: tuple[Term, ...]
-    p: int
 
 
 def build_prop1(A: Term, g: Term, h: Term, ks: list[Term], p: int = 0) -> Prop1:
@@ -269,7 +244,7 @@ def build_prop1(A: Term, g: Term, h: Term, ks: list[Term], p: int = 0) -> Prop1:
     defs["Ffun"] = Ffun
     ffun = parse_term(
         rf"{xs}\y:Nty. delta {{Aty}} (succ y) (Ffun{xargs} y)", defs)
-    return Prop1(ffun, Ffun, defs["St"], A, g, h, tuple(ks), p)
+    return Prop1(ffun, Ffun, g)
 
 
 def type_codes(table: CodeTable) -> list[int]:
@@ -300,22 +275,14 @@ def build_flat() -> Prop1:
     return build_prop1(STAR_SORT, STAR_SORT, h, [defs["pred"]])
 
 
-def flat_term() -> Term:
-    return build_flat().f
-
-
 @dataclass(frozen=True)
 class Prop2:
-    """The mutual T/F recursion of prime-product codes, with the code lists
-    carried explicitly alongside the products, and the decoded type family
+    """The mutual T/F recursion of prime-product codes (the code lists are
+    carried explicitly alongside the products), and the decoded type family
     A(y) = flat(delta(y+1, T-codes))."""
     T: Term
     F: Term
-    Acodes: Term
-    fcodes: Term
     A: Term
-    state_type: Term
-    p: int
 
 
 def build_prop2(Ccode: int, gcode: int, dcode: Term, hcode: Term,
@@ -379,13 +346,11 @@ def build_prop2(Ccode: int, gcode: int, dcode: Term, hcode: Term,
     defs["run"] = parse_term(rf"{xs}\y:Nty. y {{St2}} step2 base2", defs)
     T = parse_term(rf"{xs}\y:Nty. Tof (run{xargs} y)", defs)
     F = parse_term(rf"{xs}\y:Nty. Fof (run{xargs} y)", defs)
-    AC = parse_term(rf"{xs}\y:Nty. ACof (run{xargs} y)", defs)
-    FC = parse_term(rf"{xs}\y:Nty. FCof (run{xargs} y)", defs)
-    defs["flatf"] = flat_term()
-    defs["ACfun"] = AC
+    defs["ACfun"] = parse_term(rf"{xs}\y:Nty. ACof (run{xargs} y)", defs)
+    defs["flatf"] = build_flat().f
     Aty = parse_term(
         rf"{xs}\y:Nty. flatf (delta {{Nty}} (succ y) (ACfun{xargs} y))", defs)
-    return Prop2(T, F, AC, FC, Aty, defs["St2"], p)
+    return Prop2(T, F, Aty)
 
 
 @dataclass(frozen=True)
@@ -407,5 +372,5 @@ def build_flat_machinery() -> FlatMachinery:
     dcode = parse_term(r"\y:Nty. \v:Nty. c1", defs)
     hcode = parse_term(r"\y:Nty. \v:Nty. v", defs)
     p2 = build_prop2(2, 3, dcode, hcode, [defs["pred"]])
-    return FlatMachinery(default_code_table(), build_list_type(),
-                         build_delta(), p1.f, p1, p2)
+    return FlatMachinery(default_code_table(), entry("List", "star").term,
+                         _base_defs()["delta"], p1.f, p1, p2)

@@ -20,7 +20,6 @@ class EncodingEntry:
     term: Term
     type: Term
     citation: str
-    source: str
 
 
 # Each block is (system, [(name, term-text, type-text, citation)]).
@@ -127,7 +126,7 @@ def registry() -> tuple[EncodingEntry, ...]:
             term = parse_term(src, defs)
             ty = parse_term(type_src, defs)
             defs[name] = term
-            entries.append(EncodingEntry(name, system, term, ty, citation, src))
+            entries.append(EncodingEntry(name, system, term, ty, citation))
     return tuple(entries)
 
 

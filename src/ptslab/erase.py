@@ -8,7 +8,7 @@ substitution, redex search and contraction serve them unchanged.
 from __future__ import annotations
 
 from .term import (App, Lam, Pi, PrimJ, Sort, Term, Var, STAR, UNTYPED,
-                   _rebuild, _redexes)
+                   reducts)
 
 
 class EraseError(Exception):
@@ -51,7 +51,5 @@ def erase(t: Term) -> Term:
 
 def u_one_step_reachable(a: Term, b: Term) -> bool:
     """True when the erased term b is a by zero steps or by one beta
-    contraction.  One walk: each contractum is built once, then put in
-    place."""
-    return a == b or any(_rebuild(parents, path, contractum) == b
-                         for parents, path, (_, contractum) in _redexes(a, None))
+    contraction.  Each reduct is built once, and only until b turns up."""
+    return a == b or b in reducts(a)

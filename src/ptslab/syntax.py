@@ -315,10 +315,9 @@ _ATOM, _APP, _ARROW = 0, 1, 2   # precedence levels, tightest first
 
 
 def pretty(t: Term, star: bool = False,
-           fold: dict[Term, str] | None = None,
-           free_names: list[str] | None = None) -> str:
+           fold: dict[Term, str] | None = None) -> str:
     """Canonical text for t.  `fold` maps closed terms to display names;
-    `free_names` names any dangling indices (innermost first)."""
+    dangling indices print as f0, f1, ... (innermost first)."""
     counters: dict[str, int] = {}
 
     def go(t: Term, env: list[str], level: int) -> str:
@@ -364,4 +363,4 @@ def pretty(t: Term, star: bool = False,
             s = f"Pi {x}:{go(t.left, env, _ARROW)}. {go(t.right, [x] + env, _ARROW)}"
         return f"({s})" if level < _ARROW else s
 
-    return go(t, list(free_names or []), _ARROW)
+    return go(t, [], _ARROW)

@@ -82,17 +82,6 @@ class Context:
     def extend(self, name: str, ty: Term) -> "Context":
         return Context(self.decls + ((name, ty),))
 
-    def __len__(self):
-        return len(self.decls)
-
-    def lookup(self, index: int) -> Term | None:
-        """Type of Var(index), adjusted to the full context depth."""
-        n = len(self.decls)
-        if index >= n:
-            return None
-        name, ty = self.decls[n - 1 - index]
-        return shift(ty, index + 1)
-
 
 EMPTY = Context()
 
@@ -168,7 +157,9 @@ class _Checker:
         if cached is not None:
             return cached
         orig = t
-        for _ in range(self.fuel):
+        # fuel contractions, then one more head_step to tell a weak head
+        # normal form from exhaustion
+        for _ in range(self.fuel + 1):
             r = head_step(t, self.jrules)
             if r is None:
                 break
@@ -286,9 +277,8 @@ def _env_of(ctx: Context) -> tuple[Term, ...]:
 
 
 def infer(spec: SystemSpec, ctx: Context, t: Term,
-          fuel: int = DEFAULT_FUEL, checker: _Checker | None = None) -> Judgment:
-    ck = checker or _Checker(spec, fuel)
-    ty = ck.infer(_env_of(ctx), t, ())
+          fuel: int = DEFAULT_FUEL) -> Judgment:
+    ty = _Checker(spec, fuel).infer(_env_of(ctx), t, ())
     return Judgment(ctx, t, ty, spec.name)
 
 
@@ -333,9 +323,8 @@ def subject_reduction_probe(spec: SystemSpec, ctx: Context, t: Term,
     env = _env_of(ctx)
     ty0 = ck.infer(env, t, ())
     cur = t
-    jrules = JRules(fuel) if spec.with_j else None
     for i in range(steps):
-        r = step_normal_order(cur, jrules)
+        r = step_normal_order(cur, ck.jrules)
         if r is None:
             return ProbeReport(i, True)
         cur = r[0]

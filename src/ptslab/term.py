@@ -5,9 +5,12 @@ alpha-equivalence.  Every node caches an upper bound on its free indices
 (``fvb``), a normality bitmask and its hash, which is what makes long
 reduction runs (the paradox demos burn through 10^6 contractions)
 affordable in pure Python: closed subtrees are shared, never copied, and
-the one normal-order redex walk, behind both step_normal_order and
-redex_positions, skips every subtree whose normality bit is set.  head_step,
-the weak-head step of the checker, walks the application spine only.
+the one normal-order redex walk skips every subtree whose normality bit is
+set.  The walk yields redexes, not contracta: one matcher (_match_redex)
+says what is a redex, one contractor (_contract) builds every contractum,
+and step_normal_order, redex_positions, reducts, contract_at and head_step
+share both.  head_step, the weak-head step of the checker, walks the
+application spine only.
 
 Hashes are cached on construction, except on the ancestors that _rebuild
 puts above a contractum (and on nodes built over such an ancestor): a step
@@ -188,22 +191,12 @@ def app(fun: Term, *args: Term) -> Term:
     return fun
 
 
-def spine(t: Term) -> tuple[Term, list[Term]]:
-    """Decompose nested applications into head and argument list."""
-    args: list[Term] = []
-    while type(t) is App:
-        args.append(t.right)
-        t = t.left
-    args.reverse()
-    return t, args
-
-
 # ---------------------------------------------------------------------------
 # index arithmetic
 
-def _rewrite(t: Term, cutoff: int, arg: Term | None, by: int) -> Term:
+def _rewrite(t: Term, arg: Term | None, by: int) -> Term:
     """Rebuild t, replacing every Var whose index i is at least the local
-    cutoff c (cutoff plus the binders above it): by arg shifted by c when
+    cutoff c (the number of binders above it): by arg shifted by c when
     arg is given and i == c, else by Var(i + by).  Subtrees without such
     variables are returned as-is."""
     closed = arg is not None and arg.fvb == 0
@@ -212,7 +205,7 @@ def _rewrite(t: Term, cutoff: int, arg: Term | None, by: int) -> Term:
     # reduction shares subtrees heavily; memoise on node identity so each
     # physical subtree is rebuilt once per cutoff instead of once per path
     memo: dict[tuple[int, int], Term] = {}
-    stack: list[tuple[Term, int, bool]] = [(t, cutoff, False)]
+    stack: list[tuple[Term, int, bool]] = [(t, 0, False)]
     push, pop = stack.append, stack.pop
     while stack:
         node, cut, done = pop()
@@ -242,11 +235,11 @@ def _rewrite(t: Term, cutoff: int, arg: Term | None, by: int) -> Term:
     return out[0]
 
 
-def shift(t: Term, by: int, cutoff: int = 0) -> Term:
-    """Add `by` to every free index >= cutoff."""
-    if by == 0 or t.fvb <= cutoff:
+def shift(t: Term, by: int) -> Term:
+    """Add `by` to every free index."""
+    if by == 0 or t.fvb == 0:
         return t
-    return _rewrite(t, cutoff, None, by)
+    return _rewrite(t, None, by)
 
 
 def substitute(body: Term, arg: Term) -> Term:
@@ -254,7 +247,7 @@ def substitute(body: Term, arg: Term) -> Term:
     of a binder scope; remaining free indices are re-adjusted."""
     if body.fvb == 0:
         return body
-    return _rewrite(body, 0, arg, -1)
+    return _rewrite(body, arg, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -272,31 +265,43 @@ RULE_J_EQ = "deltaJ-eq"
 RULE_J_NEQ = "deltaJ-neq"
 
 
-def _match_redex(node: Term, jrules: JRules | None):
-    """Return (rule, contractum) when node itself is a redex."""
-    if type(node) is not App:
-        return None
-    f = node.left
-    if type(f) is Lam:
-        return RULE_BETA, substitute(f.right, node.right)
-    if jrules is not None and type(f) is App:
-        g = f.left
-        if type(g) is App and type(g.left) is PrimJ:
-            s, t, m = g.right, f.right, node.right
-            if s.fvb == 0 and t.fvb == 0:
-                ns = normalize(s, jrules.type_fuel, keep_steps=False)
-                nt = normalize(t, jrules.type_fuel, keep_steps=False)
-                if type(ns.outcome) is NormalForm and type(nt.outcome) is NormalForm:
-                    if ns.outcome.term == nt.outcome.term:
-                        return RULE_J_EQ, m
-                    return RULE_J_NEQ, Lam(t, Var(0))
+def _j_args(node: Term):
+    """(s, t, M) when node is J{s}{t} M, else None."""
+    if type(node) is App:
+        f = node.left
+        if type(f) is App and type(f.left) is App and type(f.left.left) is PrimJ:
+            return f.left.right, f.right, node.right
     return None
 
 
+def _match_redex(node: Term, jrules: JRules | None) -> str | None:
+    """The rule by which node itself is a redex, or None."""
+    if type(node) is App and type(node.left) is Lam:
+        return RULE_BETA
+    args = _j_args(node) if jrules is not None else None
+    if args is None or args[0].fvb or args[1].fvb:
+        return None
+    ns = normal_form_of(args[0], jrules.type_fuel)
+    nt = normal_form_of(args[1], jrules.type_fuel)
+    if ns is None or nt is None:
+        return None
+    return RULE_J_EQ if ns == nt else RULE_J_NEQ
+
+
+def _contract(node: Term, rule: str) -> Term:
+    """The contractum of the redex node by rule (see _match_redex)."""
+    if rule == RULE_BETA:
+        # by the module's name for it, which the bench tracer wraps
+        return substitute(node.left.right, node.right)
+    _, t, m = _j_args(node)
+    return m if rule == RULE_J_EQ else Lam(t, Var(0))
+
+
 def _redexes(t: Term, jrules: JRules | None):
-    """Yield (parents, path, (rule, contractum)) for each redex of t in
+    """Yield (parents, path, node, rule) for each redex node of t in
     preorder (a node, then its left subtree, then its right), which on
     applications is normal order and on positions lexicographic order.
+    Nothing is contracted: the caller builds what it needs with _contract.
 
     parents and path are the walk's live lists: parents[i] is the node at
     depth i and path[i] the child taken from it.  Subtrees whose normality
@@ -311,20 +316,19 @@ def _redexes(t: Term, jrules: JRules | None):
     node = t
     while True:
         if not node.nf & want:
-            # leaves carry both bits, so node has children; the beta test
-            # is _match_redex's, inline, which leaves it the J heads
+            # leaves carry both bits, so node has children; the beta test and
+            # _j_args's head test are inline: _match_redex sees only J heads
             if type(node) is App:
                 f = node.left
                 if type(f) is Lam:
                     mark = 0    # node and its ancestors are not normal
-                    yield parents, path, (RULE_BETA,
-                                          substitute(f.right, node.right))
+                    yield parents, path, node, RULE_BETA
                 elif (jrules is not None and type(f) is App
                       and type(f.left) is App and type(f.left.left) is PrimJ):
-                    red = _match_redex(node, jrules)
-                    if red is not None:
+                    rule = _match_redex(node, jrules)
+                    if rule is not None:
                         mark = 0
-                        yield parents, path, red
+                        yield parents, path, node, rule
             down(node)
             turn(0)
             node = node.left
@@ -345,8 +349,8 @@ def step_normal_order(t: Term, jrules: JRules | None = None):
 
     Returns (reduct, position, rule) or None when t is a normal form.
     """
-    for parents, path, (rule, contractum) in _redexes(t, jrules):
-        return _rebuild(parents, path, contractum), tuple(path), rule
+    for parents, path, node, rule in _redexes(t, jrules):
+        return _rebuild(parents, path, _contract(node, rule)), tuple(path), rule
     return None
 
 
@@ -553,8 +557,8 @@ def head_step(t: Term, jrules: JRules | None = None) -> Term | None:
     normal form."""
     parents: list[Term] = []
     while type(t) is App:
-        red = _match_redex(t, jrules)
-        new = red[1] if red is not None else _close_j_args(t, jrules)
+        rule = _match_redex(t, jrules)
+        new = _contract(t, rule) if rule is not None else _close_j_args(t, jrules)
         if new is not None:
             return _rebuild(parents, (0,) * len(parents), new)
         parents.append(t)
@@ -566,25 +570,29 @@ def _close_j_args(node: Term, jrules: JRules | None) -> Term | None:
     """J{s}{t} M with an open type argument that normalising closes (weak
     head steps never reduce inside s or t): the application with s and t
     normalised, so the J rule applies next; else None."""
-    f = node.left
-    if jrules is None or type(f) is not App or type(f.left) is not App \
-            or type(f.left.left) is not PrimJ:
-        return None
-    s, t = f.left.right, f.right
-    if s.fvb == 0 and t.fvb == 0:
-        return None  # the J rule decided already, or ran out of fuel
+    args = _j_args(node) if jrules is not None else None
+    if args is None or not (args[0].fvb or args[1].fvb):
+        return None  # not J, or the J rule decided already or ran out of fuel
+    s, t, m = args
     ns = normal_form_of(s, jrules.type_fuel)
     nt = normal_form_of(t, jrules.type_fuel)
     if ns is None or nt is None or ns.fvb or nt.fvb:
         return None
-    return App(App(App(J, ns), nt), node.right)
+    return App(App(App(J, ns), nt), m)
 
 
 # full-beta contraction, used by the confluence sampler and erasure
 
 def redex_positions(t: Term, jrules: JRules | None = None) -> list[tuple[int, ...]]:
     """Every redex position of t, in lexicographic (preorder) order."""
-    return [tuple(path) for _, path, _ in _redexes(t, jrules)]
+    return [tuple(path) for _, path, _, _ in _redexes(t, jrules)]
+
+
+def reducts(t: Term):
+    """Yield every one-step beta reduct of t, in redex_positions order;
+    each is built only when asked for."""
+    for parents, path, node, rule in _redexes(t, None):
+        yield _rebuild(parents, path, _contract(node, rule))
 
 
 def contract_at(t: Term, path: tuple[int, ...], jrules: JRules | None = None) -> Term:
@@ -594,7 +602,7 @@ def contract_at(t: Term, path: tuple[int, ...], jrules: JRules | None = None) ->
             raise ValueError("no redex at position")
         parents.append(t)
         t = t.right if i else t.left
-    red = _match_redex(t, jrules)
-    if red is None:
+    rule = _match_redex(t, jrules)
+    if rule is None:
         raise ValueError("no redex at position")
-    return _rebuild(parents, path, red[1])
+    return _rebuild(parents, path, _contract(t, rule))

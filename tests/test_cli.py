@@ -71,6 +71,20 @@ def test_check_stlc_rejects_forall(capsys, tmp_path):
     assert json.loads(out)["error"] == "NoRule"
 
 
+def test_check_of_undefined_name(capsys, tmp_path):
+    p = tmp_path / "undefined.ipl"
+    p.write_text("#system f\nfoo : Bool -> Bool;\n")
+    code, out, err = run(capsys, "--json", "check", str(p))
+    assert code == 1
+    assert json.loads(out) == {
+        "command": "check", "outcome": "error", "name": "foo",
+        "error": "UndefinedName", "detail": "check of undefined name foo",
+        "position": []}
+    code, out, err = run(capsys, "check", str(p))
+    assert code == 1
+    assert (out, err) == ("", "error: check of undefined name foo\n")
+
+
 def test_parse_error_exits_2(capsys, tmp_path):
     p = tmp_path / "broken.ipl"
     p.write_text(BAD_PARSE)

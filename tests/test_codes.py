@@ -5,10 +5,9 @@ from ptslab.systems import EMPTY, SYSTEMS, check, infer
 from ptslab.syntax import parse_term
 from ptslab.encodings import definitions
 from ptslab.codes import (CodeTable, GuardViolation, IllTypedIngredient,
-                          PRIMES, base_defs, build_delta, build_flat,
-                          build_flat_machinery, build_list_type, build_prop1,
-                          build_prop2, church, default_code_table,
-                          flat_term, numeral_value, type_codes)
+                          PRIMES, base_defs, build_flat, build_flat_machinery,
+                          build_prop1, build_prop2, church, default_code_table,
+                          numeral_value, type_codes)
 
 
 STAR = SYSTEMS["star"]
@@ -54,7 +53,7 @@ def test_app_coding_agrees_with_syntax():
     a = table.code_of(S["ID"])
     b = table.code_of(S["BoolV"])
     ab = table.code_of(App(S["ID"], S["BoolV"]))
-    assert table.app_code(a, b) == ab
+    assert a * b == ab
 
 
 def test_app_coding_in_theory():
@@ -62,8 +61,8 @@ def test_app_coding_in_theory():
     table = default_code_table()
     a = table.code_of(S["ID"])
     b = table.code_of(S["BoolV"])
-    t = app(table.app_term(), church(a), church(b))
-    assert nv(t) == table.app_code(a, b) <= 64
+    t = app(S["mult"], church(a), church(b))
+    assert nv(t) == a * b <= 64
 
 
 def test_typ_coding():
@@ -76,18 +75,15 @@ def test_typ_coding():
 
 
 def test_pi_enumerates_primes():
-    table = default_code_table()
-    for i, p in enumerate(PRIMES):
-        assert table.pi(i) == p
     for i in range(4):
-        assert nv(App(table.pi_term(), church(i))) == PRIMES[i]
+        assert nv(App(base_defs()["pi"], church(i))) == PRIMES[i]
 
 
 # --- List and delta --------------------------------------------------------
 
 def test_list_type_checks():
-    check(STAR, EMPTY, build_list_type(), parse_term("V -> V"))
-    lst = App(build_list_type(), S["BoolV"])
+    check(STAR, EMPTY, S["List"], parse_term("V -> V"))
+    lst = App(S["List"], S["BoolV"])
     assert infer(STAR, EMPTY, lst).type == STAR_SORT
 
 
@@ -110,13 +106,13 @@ def test_delta_is_one_based():
 # --- Proposition 1 / flat --------------------------------------------------
 
 def test_flat_type_checks():
-    f = flat_term()
+    f = build_flat().f
     check(STAR, EMPTY, f, parse_term("Nty -> V", base_defs()))
 
 
 def test_flat_decodes_every_type_entry():
     table = default_code_table()
-    f = flat_term()
+    f = build_flat().f
     for c in type_codes(table):
         got = normal_form_of(App(f, church(c)), 100_000)
         assert got == table.term_of(c), f"code {c}"

@@ -1,7 +1,7 @@
 import pytest
 
 from ptslab.term import (App, CycleDetected, JRules, NormalForm, PrimJ,
-                         normalize, normal_form_of, spine)
+                         normalize, normal_form_of)
 from ptslab.systems import (EMPTY, NoAxiom, NoRule, SYSTEMS, TypingError,
                             infer, subject_reduction_probe)
 from ptslab.syntax import parse, parse_term

@@ -4,7 +4,8 @@ import pytest
 
 from ptslab.term import (App, Lam, Pi, Sort, STAR_SORT, Term, Var, app,
                          normalize, NormalForm, substitute)
-from ptslab.systems import (ArgumentTypeMismatch, Context, EMPTY, JNotEnabled,
+from ptslab.systems import (ArgumentTypeMismatch, ConversionFuelExhausted,
+                            Context, EMPTY, JNotEnabled,
                             J_TYPE, LAMBDA_ARROW, LAMBDA_STAR, LAMBDA_U_MINUS,
                             NoAxiom, NoRule, NotAFunction, SYSTEM_F,
                             SYSTEM_F_J, SYSTEMS, TypeMismatch, TypingError,
@@ -118,9 +119,10 @@ def test_infer_in_context():
 
 def test_context_lookup_shifts():
     ctx = EMPTY.extend("A", STAR_SORT).extend("f", Pi(Var(0), Var(1)))
-    assert ctx.lookup(0) == Pi(Var(1), Var(2))
-    assert ctx.lookup(1) == STAR_SORT
-    assert ctx.lookup(5) is None
+    assert infer(SYSTEM_F, ctx, Var(0)).type == Pi(Var(1), Var(2))
+    assert infer(SYSTEM_F, ctx, Var(1)).type == STAR_SORT
+    with pytest.raises(UnboundVariable):
+        infer(SYSTEM_F, ctx, Var(5))
 
 
 # --- check -----------------------------------------------------------------
@@ -171,6 +173,17 @@ def test_convertible_fuel_exhausted():
                 Lam(STAR_SORT, App(Var(0), Var(0))))
     assert convertible(LAMBDA_STAR, EMPTY, omega, STAR_SORT,
                        fuel=50) == "fuel-exhausted"
+
+
+def test_whnf_fuel_counts_contractions():
+    # (\X:*. X) Bool is one head step from its weak head normal form, so
+    # fuel 1 reaches it; a term already in weak head normal form needs none
+    bool_ty = F_DEFS["Bool"]
+    redex = App(Lam(STAR_SORT, Var(0)), bool_ty)
+    assert convertible(SYSTEM_F, EMPTY, redex, bool_ty, fuel=1) == "convertible"
+    assert _Checker(SYSTEM_F, 0).whnf(bool_ty, ()) is bool_ty
+    with pytest.raises(ConversionFuelExhausted):
+        _Checker(SYSTEM_F, 0).whnf(redex, ())
 
 
 def test_convertible_distinct_heads_under_divergent_argument():

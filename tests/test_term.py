@@ -8,7 +8,8 @@ import ptslab.term as term_module
 from ptslab.term import (App, CycleDetected, FuelExhausted, JRules, Lam,
                          NormalForm, Pi, ReductionTrace, Sort, STAR_SORT, Step,
                          Term, Var, app, contract_at, normal_form_of, normalize,
-                         redex_positions, shift, step_normal_order, substitute)
+                         redex_positions, reducts, shift, step_normal_order,
+                         substitute)
 from ptslab.syntax import parse_term
 from ptslab.encodings import definitions
 from ptslab.corpus import random_wellscoped, welltyped_corpus
@@ -188,9 +189,9 @@ def reference_step(t, jrules=None):
             if node.nf & want:
                 frames.pop()
                 continue
-            red = term_module._match_redex(node, jrules)
-            if red is not None:
-                rule, res = red
+            rule = term_module._match_redex(node, jrules)
+            if rule is not None:
+                res = term_module._contract(node, rule)
                 path = tuple(fr[1] - 1 for fr in frames[:-1])
                 for fr in reversed(frames[:-1]):
                     parent, idx = fr[0], fr[1] - 1
@@ -316,6 +317,32 @@ def test_walk_matches_reference_after_normalize():
     loop = App(App(fj["K"], fj["rho"]), fj["K"])
     normalize(loop, 2, jrules=JRules())
     assert_reduction_matches_reference(loop, 6, JRules())
+
+
+def test_walk_contracts_only_the_redex_used(monkeypatch):
+    calls = []
+    real = term_module.substitute
+
+    def counting(body, arg):
+        calls.append(body)
+        return real(body, arg)
+
+    monkeypatch.setattr(term_module, "substitute", counting)
+    i = Lam(STAR_SORT, Var(0))
+    t = App(i, App(i, App(i, i)))
+    assert redex_positions(t) == [(), (1,), (1, 1)]
+    assert calls == []
+    assert step_normal_order(t) == (App(i, App(i, i)), (), "beta")
+    assert len(calls) == 1
+
+
+def test_reducts_are_the_contractions_at_redex_positions():
+    branching = 0
+    for t, _ in welltyped_corpus(200, seed=15, max_nodes=60):
+        got = list(reducts(t))
+        assert got == [contract_at(t, p) for p in redex_positions(t)]
+        branching += len(got) >= 2
+    assert branching > 20
 
 
 # --- hashes on demand: rebuilt ancestors hash and compare as built ones ----
