@@ -1,4 +1,4 @@
-"""A pure-type-system workbench: four calculi, one kernel."""
+"""A pure-type-system workbench: five calculi, one kernel."""
 
 from .term import (App, CycleDetected, DEFAULT_FUEL, FuelExhausted, J, JRules,
                    Lam, NormalForm, Pi, PrimJ, ReductionTrace, Sort, Step,

@@ -275,7 +275,10 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(fn=cmd_demo)
 
     args = ap.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except RecursionError:
+        _usage_error("input nested too deeply")
 
 
 if __name__ == "__main__":

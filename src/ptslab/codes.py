@@ -183,9 +183,9 @@ def _check_ingredient(name: str, t: Term, ty: Term) -> None:
         raise IllTypedIngredient(f"{name}: {exc}") from exc
 
 
-def _check_guards(ks: list[Term], span: int = 8) -> None:
+def _check_guards(ks: list[Term]) -> None:
     for i, k in enumerate(ks):
-        for x in range(span):
+        for x in range(8):
             v = numeral_value(App(k, church(x + 1)))
             if v is None or v >= x + 1:
                 raise GuardViolation(

@@ -8,6 +8,7 @@ every emitted term carries its type with it.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 
 from .term import (App, Lam, Pi, STAR_SORT, Term, Var, app, shift)
 from .encodings import definitions
@@ -58,14 +59,10 @@ def random_type(rng: random.Random, depth: int = 2, tvars: int = 0) -> Term:
     return Pi(STAR_SORT, random_type(rng, depth - 1, tvars + 1))
 
 
-_SEEDS: list[tuple[Term, Term]] | None = None
-
-
-def _seeds() -> list[tuple[Term, Term]]:
-    """Small closed well-typed terms with their types."""
-    global _SEEDS
-    if _SEEDS is not None:
-        return _SEEDS
+@lru_cache(maxsize=None)
+def _seeds(max_nodes: int) -> tuple[tuple[Term, Term], ...]:
+    """Small closed well-typed terms with their types, those of at most
+    `max_nodes` nodes, in a fixed order."""
     from .syntax import parse_term
     defs = definitions("f")
     pairs = [
@@ -77,8 +74,8 @@ def _seeds() -> list[tuple[Term, Term]]:
         (r"\x:Bool. \y:Bool. x", "Bool -> Bool -> Bool"),
         ("nil {Bool}", "forall Y. Y -> (Bool->Y->Y) -> Y"),
     ]
-    _SEEDS = [(parse_term(a, defs), parse_term(b, defs)) for a, b in pairs]
-    return _SEEDS
+    seeds = [(parse_term(a, defs), parse_term(b, defs)) for a, b in pairs]
+    return tuple(s for s in seeds if term_size(s[0]) <= max_nodes)
 
 
 def random_welltyped(rng: random.Random, max_nodes: int = 20) -> tuple[Term, Term]:
@@ -87,8 +84,7 @@ def random_welltyped(rng: random.Random, max_nodes: int = 20) -> tuple[Term, Ter
     Starts from a seed and applies root-level type-preserving expansions:
     identity redexes, ID instantiation, vacuous type application, and
     numeral-driven iteration of the identity."""
-    seeds = [s for s in _seeds() if term_size(s[0]) <= max_nodes]
-    t, ty = rng.choice(seeds)
+    t, ty = rng.choice(_seeds(max_nodes))
     defs = definitions("f")
     for _ in range(rng.randrange(4)):
         move = rng.randrange(4)

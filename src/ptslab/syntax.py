@@ -38,43 +38,40 @@ class ParseError(Exception):
 
 _TOKEN = re.compile(r"""
     (?P<ws>\s+|--[^\n]*)
-  | (?P<op>:=|->|/\\|[\\.:;(){}*+])
+  | (?P<op>:=|->|/\\|[\\.:;(){}*+]|\#system)
   | (?P<name>[A-Za-z_][A-Za-z0-9_']*)
-  | (?P<pragma>\#system)
-""", re.VERBOSE)
+  | (?P<bad>.)
+""", re.VERBOSE | re.DOTALL)
 
-_KEYWORDS = {"Pi", "forall", "BOX", "V", "J"}
-
-
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    line: int
-    column: int
+# binder token -> (node, whether the bound name carries a ':' domain);
+# an untyped binder binds a type variable (domain *)
+_BINDERS = {"\\": (Lam, True), "/\\": (Lam, False),
+            "Pi": (Pi, True), "forall": (Pi, False)}
+_CONSTANTS = {"*": STAR_SORT, "V": STAR_SORT, "BOX": BOX_SORT, "J": J}
+_BRACKETS = {"(": ")", "{": "}"}
+_KEYWORDS = {w for w in (*_BINDERS, *_CONSTANTS) if w.isalpha()}
 
 
-def _tokenize(text: str) -> list[Token]:
+def _error(text: str, offset: int, expected: str) -> ParseError:
+    line = text.count("\n", 0, offset) + 1
+    return ParseError(line, offset - text.rfind("\n", 0, offset), expected)
+
+
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) triples ending with an 'eof' token.  The kind of
+    an operator or keyword is its own text; others are 'name' and 'eof'."""
     out = []
-    line, col, i = 1, 1, 0
-    while i < len(text):
-        m = _TOKEN.match(text, i)
-        if m is None:
-            raise ParseError(line, col, f"a token (found {text[i]!r})")
-        chunk = m.group(0)
-        if m.lastgroup != "ws":
-            kind = m.lastgroup
-            if kind == "name" and chunk in _KEYWORDS:
-                kind = chunk
-            out.append(Token(kind, chunk, line, col))
-        nl = chunk.count("\n")
-        if nl:
-            line += nl
-            col = len(chunk) - chunk.rfind("\n")
-        else:
-            col += len(chunk)
-        i = m.end()
-    out.append(Token("eof", "", line, col))
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "ws":
+            continue
+        chunk = m.group()
+        if kind == "bad":
+            raise _error(text, m.start(), f"a token (found {chunk!r})")
+        if kind == "op" or chunk in _KEYWORDS:
+            kind = chunk
+        out.append((kind, chunk, m.start()))
+    out.append(("eof", "", len(text)))
     return out
 
 
@@ -101,172 +98,120 @@ class SourceFile:
 
 
 class _Parser:
-    def __init__(self, toks: list[Token], defs: dict[str, Term] | None = None):
-        self.toks = toks
+    def __init__(self, text: str, defs: dict[str, Term] | None = None):
+        self.text = text
+        self.toks = _tokenize(text)
         self.pos = 0
         self.defs = dict(defs) if defs else {}
 
-    def peek(self) -> Token:
-        return self.toks[self.pos]
+    def fail(self, expected: str) -> ParseError:
+        return _error(self.text, self.toks[self.pos][2], expected)
 
-    def next(self) -> Token:
-        t = self.toks[self.pos]
+    def expect(self, kind: str) -> str:
+        """Consume a token of `kind` and return its text; a word kind
+        ('name', 'eof') is reported bare, an operator quoted."""
+        tok = self.toks[self.pos]
+        if tok[0] != kind:
+            raise self.fail(kind if kind.isalpha() else f"'{kind}'")
         self.pos += 1
-        return t
-
-    def expect(self, kind: str) -> Token:
-        t = self.peek()
-        if t.kind == kind:
-            return self.next()
-        raise ParseError(t.line, t.column, kind)
-
-    def expect_op(self, text: str) -> Token:
-        t = self.peek()
-        if t.kind in ("op", "pragma") and t.text == text:
-            return self.next()
-        raise ParseError(t.line, t.column, f"'{text}'")
-
-    def at_op(self, text: str) -> bool:
-        t = self.peek()
-        return t.kind == "op" and t.text == text
+        return tok[1]
 
     # terms -----------------------------------------------------------------
 
     def term(self, env: list[str]) -> Term:
-        t = self.peek()
-        if t.kind == "op" and t.text == "\\":
-            self.next()
-            name = self.expect("name").text
-            self.expect_op(":")
-            dom = self.term(env)
-            self.expect_op(".")
-            body = self.term([name] + env)
-            return Lam(dom, body)
-        if t.kind == "op" and t.text == "/\\":
-            self.next()
-            name = self.expect("name").text
-            self.expect_op(".")
-            body = self.term([name] + env)
-            return Lam(STAR_SORT, body)
-        if t.kind == "Pi":
-            self.next()
-            name = self.expect("name").text
-            self.expect_op(":")
-            dom = self.term(env)
-            self.expect_op(".")
-            cod = self.term([name] + env)
-            return Pi(dom, cod)
-        if t.kind == "forall":
-            self.next()
-            name = self.expect("name").text
-            self.expect_op(".")
-            cod = self.term([name] + env)
-            return Pi(STAR_SORT, cod)
-        return self.arrow(env)
-
-    def arrow(self, env: list[str]) -> Term:
-        left = self.application(env)
-        if self.at_op("->"):
-            self.next()
-            right = self.term(["_"] + env)
-            return Pi(left, right)
-        return left
-
-    _ATOM_STARTS = {"name", "BOX", "V", "J"}
-
-    def application(self, env: list[str]) -> Term:
+        """A binder form, or an application spine with an optional '->'."""
+        binder = _BINDERS.get(self.toks[self.pos][0])
+        if binder is not None:
+            node, typed = binder
+            self.pos += 1
+            name = self.expect("name")
+            dom = STAR_SORT
+            if typed:
+                self.expect(":")
+                dom = self.term(env)
+            self.expect(".")
+            return node(dom, self.term([name] + env))
         t = self.atom(env)
         while True:
-            nxt = self.peek()
-            if nxt.kind in self._ATOM_STARTS or \
-               (nxt.kind == "op" and nxt.text in ("(", "{", "*")):
+            kind = self.toks[self.pos][0]
+            if kind == "name" or kind in _CONSTANTS or kind in _BRACKETS:
                 t = App(t, self.atom(env))
+            elif kind == "->":
+                self.pos += 1
+                return Pi(t, self.term(["_"] + env))
             else:
                 return t
 
     def atom(self, env: list[str]) -> Term:
-        t = self.peek()
-        if t.kind == "op" and t.text == "*":
-            self.next()
-            return STAR_SORT
-        if t.kind == "V":
-            self.next()
-            return STAR_SORT
-        if t.kind == "BOX":
-            self.next()
-            return BOX_SORT
-        if t.kind == "J":
-            self.next()
-            return J
-        if t.kind == "op" and t.text in ("(", "{"):
-            close = ")" if t.text == "(" else "}"
-            self.next()
+        kind, text, _ = self.toks[self.pos]
+        if kind in _CONSTANTS:
+            self.pos += 1
+            return _CONSTANTS[kind]
+        if kind in _BRACKETS:
+            self.pos += 1
             inner = self.term(env)
-            self.expect_op(close)
+            self.expect(_BRACKETS[kind])
             return inner
-        if t.kind == "name":
-            self.next()
-            if t.text in env:
-                return Var(env.index(t.text))
-            if t.text in self.defs:
-                return self.defs[t.text]
-            raise ParseError(t.line, t.column,
-                             f"a bound variable or defined name ({t.text!r} is neither)")
-        raise ParseError(t.line, t.column, "a term")
+        if kind != "name":
+            raise self.fail("a term")
+        if text in env:
+            self.pos += 1
+            return Var(env.index(text))
+        if text in self.defs:
+            self.pos += 1
+            return self.defs[text]
+        raise self.fail(f"a bound variable or defined name ({text!r} is neither)")
 
     # files -----------------------------------------------------------------
 
     def pragma(self) -> str | None:
         """The system named by a leading '#system' pragma, or None."""
-        if self.peek().kind != "pragma":
+        if self.toks[self.pos][0] != "#system":
             return None
-        self.next()
-        t = self.expect("name")
-        name = t.text
-        if self.at_op("+"):  # f+j
-            self.next()
-            name += "+" + self.expect("name").text
+        self.pos += 1
+        at = self.toks[self.pos][2]
+        name = self.expect("name")
+        if self.toks[self.pos][0] == "+":  # f+j
+            self.pos += 1
+            name += "+" + self.expect("name")
         if name not in ("stlc", "f", "f+j", "star", "uminus"):
-            raise ParseError(t.line, t.column, "a system name")
+            raise _error(self.text, at, "a system name")
         return name
 
     def file(self) -> SourceFile:
         system = self.pragma()
         items: list[Definition | Check] = []
-        while self.peek().kind != "eof":
-            name_tok = self.expect("name")
-            if self.at_op(":="):
-                self.next()
-                body = self.term([])
-                self.expect_op(";")
-                if body.fvb != 0:
-                    raise ParseError(name_tok.line, name_tok.column,
-                                     "a closed definition body")
-                self.defs[name_tok.text] = body
-                items.append(Definition(name_tok.text, body))
-            elif self.at_op(":"):
-                self.next()
-                ty = self.term([])
-                self.expect_op(";")
-                items.append(Check(name_tok.text, ty))
-            else:
-                t = self.peek()
-                raise ParseError(t.line, t.column, "':=' or ':'")
+        while self.toks[self.pos][0] != "eof":
+            at = self.toks[self.pos][2]
+            name = self.expect("name")
+            kind = self.toks[self.pos][0]
+            if kind != ":=" and kind != ":":
+                raise self.fail("':=' or ':'")
+            self.pos += 1
+            body = self.term([])
+            self.expect(";")
+            if kind == ":":
+                items.append(Check(name, body))
+                continue
+            if body.fvb != 0:
+                raise _error(self.text, at, "a closed definition body")
+            self.defs[name] = body
+            items.append(Definition(name, body))
         return SourceFile(system, tuple(items))
 
 
 def parse(text: str, defs: dict[str, Term] | None = None) -> SourceFile:
-    return _Parser(_tokenize(text), defs).file()
+    return _Parser(text, defs).file()
 
 
 def pragma(text: str) -> str | None:
     """The system a file's '#system' pragma names, read without parsing the
     rest of the file (whose names depend on that system's prelude)."""
-    return _Parser(_tokenize(text)).pragma()
+    return _Parser(text).pragma()
 
 
 def parse_term(text: str, defs: dict[str, Term] | None = None) -> Term:
-    p = _Parser(_tokenize(text), defs)
+    p = _Parser(text, defs)
     t = p.term([])
     p.expect("eof")
     return t
@@ -312,6 +257,8 @@ def _fresh(pool: str, taken: set[str], counters: dict[str, int]) -> str:
 
 
 _ATOM, _APP, _ARROW = 0, 1, 2   # precedence levels, tightest first
+# (node, typed) -> binder head, from the parser's table: \x:T. /\X. Pi x:T. forall X.
+_HEADS = {b: kw + " " * kw.isalpha() for kw, b in _BINDERS.items()}
 
 
 def pretty(t: Term, star: bool = False,
@@ -339,28 +286,15 @@ def pretty(t: Term, star: bool = False,
         if tt is App:
             s = f"{go(t.left, env, _APP)} {go(t.right, env, _ATOM)}"
             return f"({s})" if level < _APP else s
-        taken = set(env)
-        if tt is Lam:
-            if t.left is STAR_SORT or t.left == STAR_SORT:
-                x = _fresh(_TYPE_NAMES, taken, counters)
-                s = f"/\\{x}. {go(t.right, [x] + env, _ARROW)}"
-            elif t.left is UNTYPED or t.left == UNTYPED:
-                x = _fresh(_TERM_NAMES, taken, counters)
-                s = f"\\{x}. {go(t.right, [x] + env, _ARROW)}"
-            else:
-                x = _fresh(_TERM_NAMES, taken, counters)
-                s = f"\\{x}:{go(t.left, env, _ARROW)}. {go(t.right, [x] + env, _ARROW)}"
-            return f"({s})" if level < _ARROW else s
-        # Pi
-        if not _mentions_bound(t.right):
+        if tt is Pi and not _mentions_bound(t.right):
             s = f"{go(t.left, env, _APP)} -> {go(t.right, ['_'] + env, _ARROW)}"
-            return f"({s})" if level < _ARROW else s
-        if t.left is STAR_SORT or t.left == STAR_SORT:
-            x = _fresh(_TYPE_NAMES, taken, counters)
-            s = f"forall {x}. {go(t.right, [x] + env, _ARROW)}"
-        else:
-            x = _fresh(_TERM_NAMES, taken, counters)
-            s = f"Pi {x}:{go(t.left, env, _ARROW)}. {go(t.right, [x] + env, _ARROW)}"
+        else:  # a binder: name, then domain, then body (the name counters see this order)
+            typed = not (t.left is STAR_SORT or t.left == STAR_SORT)
+            x = _fresh(_TERM_NAMES if typed else _TYPE_NAMES, set(env), counters)
+            dom = ""
+            if typed and not (tt is Lam and (t.left is UNTYPED or t.left == UNTYPED)):
+                dom = ":" + go(t.left, env, _ARROW)
+            s = f"{_HEADS[tt, typed]}{x}{dom}. {go(t.right, [x] + env, _ARROW)}"
         return f"({s})" if level < _ARROW else s
 
     return go(t, [], _ARROW)

@@ -516,9 +516,9 @@ def _recurrence(t: Term, cur: Term, counts: list[int], steps: list[Step] | None,
     return None
 
 
-def normal_form_of(t: Term, fuel: int = DEFAULT_FUEL, jrules: JRules | None = None) -> Term | None:
+def normal_form_of(t: Term, fuel: int = DEFAULT_FUEL) -> Term | None:
     """Normal form, or None when the budget does not suffice."""
-    tr = normalize(t, fuel, jrules=jrules, keep_steps=False)
+    tr = normalize(t, fuel, keep_steps=False)
     if type(tr.outcome) is NormalForm:
         return tr.outcome.term
     return None

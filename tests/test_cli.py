@@ -93,6 +93,23 @@ def test_parse_error_exits_2(capsys, tmp_path):
     assert ei.value.code == 2
 
 
+DEEP_PARENS = "#system f\nx := " + "(" * 2000 + "Bool" + ")" * 2000 + ";\n"
+DEEP_CHAIN = "#system f\nd0 := \\x:Bool. x;\n" + "".join(
+    f"d{k} := \\x:Bool. d{k - 1} (d{k - 1} x);\n" for k in range(1, 400))
+
+
+@pytest.mark.parametrize("text", [DEEP_PARENS, DEEP_CHAIN],
+                         ids=["parser", "checker"])
+def test_deep_input_exits_2(capsys, tmp_path, text):
+    # the parser overflows the stack on the first file, infer on the second
+    p = tmp_path / "deep.ipl"
+    p.write_text(text)
+    with pytest.raises(SystemExit) as ei:
+        main(["check", str(p)])
+    assert ei.value.code == 2
+    assert capsys.readouterr().err == "error: input nested too deeply\n"
+
+
 def test_missing_file_exits_2(capsys, tmp_path):
     with pytest.raises(SystemExit) as ei:
         main(["check", str(tmp_path / "nope.ipl")])

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -94,6 +95,41 @@ def test_error_on_line_two():
     assert ei.value.line == 2
 
 
+PARSE_ERRORS = {
+    # id: (parser, text, line, column, expected), one row per raise site
+    "bad-character": ("term", "\\x:*. x @ x", 1, 9, "a token (found '@')"),
+    "missing-name": ("term", "\\:*. x", 1, 2, "name"),
+    "missing-colon": ("term", "\\x *. x", 1, 4, "':'"),
+    "missing-dot": ("term", "/\\X X", 1, 5, "'.'"),
+    "missing-paren": ("term", "\\x:*. (x", 1, 9, "')'"),
+    "missing-brace": ("term", "ID {Bool", 1, 9, "'}'"),
+    "unknown-name": ("term", "mystery", 1, 1,
+                     "a bound variable or defined name ('mystery' is neither)"),
+    "no-term": ("term", "\\x:*. ;", 1, 7, "a term"),
+    "bad-system": ("file", "#system g\nx := *;\n", 1, 9, "a system name"),
+    "no-item": ("file", "#system f\na b;\n", 2, 3, "':=' or ':'"),
+    # `open` is a prelude name bound to an open term (below)
+    "open-body": ("file", "ok := *;\nbad := open;\n", 2, 1,
+                  "a closed definition body"),
+    "trailing-input": ("term", "* *)", 1, 4, "eof"),
+    "line-3-paren": ("term", "-- comment\n\\x:*.\n\t(x -- unclosed", 3, 16,
+                     "')'"),
+    "line-3-character": ("file", "a := *;\n-- comment\n\tb := \\x:*. x @;\n",
+                         3, 15, "a token (found '@')"),
+}
+
+
+@pytest.mark.parametrize("parser,text,line,column,expected",
+                         list(PARSE_ERRORS.values()), ids=list(PARSE_ERRORS))
+def test_parse_error_sites(parser, text, line, column, expected):
+    defs = dict(F, open=Var(0))
+    with pytest.raises(ParseError) as ei:
+        (parse_term if parser == "term" else parse)(text, defs)
+    assert (ei.value.line, ei.value.column, ei.value.expected) == \
+        (line, column, expected)
+    assert str(ei.value) == f"{line}:{column}: expected {expected}"
+
+
 def test_unknown_name():
     with pytest.raises(ParseError):
         parse_term("mystery")
@@ -162,3 +198,21 @@ def test_roundtrip_generated_welltyped():
     for t, ty in welltyped_corpus(500, seed=8):
         assert parse_term(pretty(t)) == t
         assert parse_term(pretty(ty)) == ty
+
+
+# sha256 of the printed corpus, one "term\ntype\n" pair per item; the
+# acceptance criteria and the benchmark's corpus workload read this corpus
+CORPUS_DIGESTS = {
+    (0, 20): "90399fcf2ba4ded00a06b07a02b2f116aae7d59a88da16c02870c44752fbb7b3",
+    (0, 60): "d3a8d0a1ddfc487b637c301983627dd2892b81de2fada6bf7eccf36194b23a92",
+    (99, 20): "593d28333da8a916af34850226d03cef750d5ca04786f69506fe9ccacf8ebc68",
+    (99, 60): "f1188ad485169694a1e3c22ce247105714699ef7354cf0531806d003a1d27e01",
+}
+
+
+@pytest.mark.parametrize("seed,max_nodes", sorted(CORPUS_DIGESTS))
+def test_welltyped_corpus_text_is_pinned(seed, max_nodes):
+    h = hashlib.sha256()
+    for t, ty in welltyped_corpus(500, seed=seed, max_nodes=max_nodes):
+        h.update(f"{pretty(t)}\n{pretty(ty)}\n".encode())
+    assert h.hexdigest() == CORPUS_DIGESTS[seed, max_nodes]
