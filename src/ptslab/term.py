@@ -10,14 +10,17 @@ set.  The walk yields redexes, not contracta: one matcher (_match_redex)
 says what is a redex, one contractor (_contract) builds every contractum,
 and step_normal_order, redex_positions, reducts, contract_at and head_step
 share both.  head_step, the weak-head step of the checker, walks the
-application spine only.
+application spine only.  normalize, when it keeps no steps and has no
+cycle table and no J rules, resumes each search at the parent of the last
+contraction and keeps the ancestors above it stale (a zipper), so a step on
+a deep spine costs what the redex's neighbourhood costs, not its depth.
 
 Hashes are cached on construction, except on the ancestors that _rebuild
 puts above a contractum (and on nodes built over such an ancestor): a step
-rebuilds its whole path to the root, and nothing reads those hashes unless
-the term goes into a hash table.  hash() fills a missing hash on demand,
-children first, with the same formula, so a term hashes the same however
-it was built.
+rebuilds its whole path to the root (or to normalize's focus), and nothing
+reads those hashes unless the term goes into a hash table.  hash() fills a
+missing hash on demand, children first, with the same formula, so a term
+hashes the same however it was built.
 
 Reduction positions are tuples of 0/1: 0 selects fun/domain, 1 selects
 arg/body/codomain.
@@ -394,6 +397,30 @@ def normalize(t: Term, fuel: int = DEFAULT_FUEL, detect_cycles: bool = False,
     CycleDetected when the same term (up to alpha) recurs and detect_cycles
     is set.
 
+    Every search is one step_normal_order call on a subterm, the focus.  A
+    run that keeps no steps and has no cycle table and no J rules moves the
+    focus to the parent of each contraction, the one node a beta step can
+    turn into a new redex (a lambda in function position); a contraction at
+    the focus's own root therefore climbs one level.  Everything before the
+    focus in preorder is then normal or an ancestor that is not a redex, so
+    the focus holds the next leftmost-outermost redex unless it is normal.
+    A normal focus climbs one level and is searched again; the walk skips
+    the child just marked normal, and that search is the only extra
+    step_normal_order call (it returns None where the search from the root
+    would have found the redex after the focus).  The ancestors above the
+    focus are stale: two lists keep the nodes and the directions taken, a
+    climb rebuilds one of them, and the whole path is rebuilt only for
+    NormalForm.term and FuelExhausted.last.  On a spine that makes search
+    and rebuild O(1) per step instead of O(depth).  Each stale ancestor
+    keeps alive the version of the subterm below it from when the focus
+    passed it: at most one outdated copy per level, sharing every subtree
+    that no step since has rebuilt.
+
+    The other runs keep the whole term as the focus: a run that records or
+    hashes every reduct builds the whole reduct anyway, and a J rule can
+    turn any ancestor into a redex once reduction closes its type
+    arguments.
+
     The cycle table keeps no terms, only two packed arrays: ``fps[c]`` is
     the cached hash of the term after c steps, and an open-addressing table
     of step indices (see _slot_table), probed linearly, maps each distinct
@@ -427,6 +454,9 @@ def normalize(t: Term, fuel: int = DEFAULT_FUEL, detect_cycles: bool = False,
         full = len(slots) // 2 - 1   # the count whose insertion fills half
         remember = fps.append
     clashes: dict[int, list[int]] = {}
+    focused = not keep_steps and fps is None and jrules is None
+    up: list[Term] = []     # the stale ancestors of cur, root first
+    dirs: list[int] = []    # the child taken from each
     cur = t
     count = 0
     while True:
@@ -453,14 +483,28 @@ def normalize(t: Term, fuel: int = DEFAULT_FUEL, detect_cycles: bool = False,
                 clashes.setdefault(h, []).append(count)
         r = step_normal_order(cur, jrules)
         if r is None:
-            return ReductionTrace(tuple(steps), NormalForm(cur), count)
+            if not up:
+                return ReductionTrace(tuple(steps), NormalForm(cur), count)
+            cur = _rebuild((up.pop(),), (dirs.pop(),), cur)
+            continue
         if count >= fuel:
-            return ReductionTrace(tuple(steps), FuelExhausted(cur, fuel), count)
+            return ReductionTrace(tuple(steps),
+                                  FuelExhausted(_rebuild(up, dirs, cur), fuel),
+                                  count)
         nxt, path, rule = r
         if keep_steps:
             steps.append(Step(path, rule, cur, nxt))
         cur = nxt
         count += 1
+        if focused and path:
+            # down to the contractum's parent
+            for d in path[:-1]:
+                up.append(cur)
+                dirs.append(d)
+                cur = cur.right if d else cur.left
+        elif up:
+            # a new head at the focus can make its parent a redex
+            cur = _rebuild((up.pop(),), (dirs.pop(),), cur)
 
 
 _INT_MAX = 2 ** (8 * array("i").itemsize - 1) - 1

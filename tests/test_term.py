@@ -452,6 +452,110 @@ def test_cycle_detection_on_self_application():
 
 
 
+# --- focused normalisation: the same run as a search from the root ---------
+
+def assert_focus_matches_root(t, fuels):
+    """At each fuel, normalize without kept steps (which resumes each search
+    at the last contraction's parent) stops after the same number of steps
+    and with the same outcome as normalize with kept steps (which searches
+    from the root every time)."""
+    for fuel in fuels:
+        want = normalize(t, fuel)
+        got = normalize(t, fuel, keep_steps=False)
+        assert got.step_count == want.step_count, fuel
+        assert type(got.outcome) is type(want.outcome), fuel
+        assert got.outcome == want.outcome, fuel
+
+
+SHORT_FUELS = (0, 1, 2, 3, 5, 8, 13, 21, 500)
+
+
+def test_focus_matches_root_on_wellscoped_terms():
+    rng = random.Random(31)
+    for _ in range(300):
+        assert_focus_matches_root(random_wellscoped(rng, 25), SHORT_FUELS)
+
+
+def test_focus_matches_root_on_corpus():
+    for t, _ in welltyped_corpus(200, seed=32, max_nodes=60):
+        n = normalize(t, 500, keep_steps=False).step_count
+        assert_focus_matches_root(t, {*SHORT_FUELS, n - 1, n, n + 1} - {-1})
+
+
+def test_focus_matches_root_on_flat():
+    fm = build_flat_machinery()
+    for k, n in [(1, 182), (2, 401), (4, 1217), (7, 3746), (8, 5033)]:
+        # every cut but the last stops inside flat's application spine
+        assert_focus_matches_root(App(fm.flat, church(k)),
+                                  (n // 3, n // 2 + 1, n - 1, n, n + 1))
+
+
+def test_focus_matches_root_on_hurkens_prefix():
+    assert_focus_matches_root(build_hurkens(), (1000, 2001))
+
+
+def test_focus_matches_root_on_j_loop_without_j_rules():
+    fj = definitions("f+j")
+    start = App(App(fj["K"], fj["rho"]), fj["K"])
+    assert_focus_matches_root(start, range(0, 40, 3))
+    assert type(normalize(start, 10_000, keep_steps=False).outcome) \
+        is NormalForm
+
+
+IDENT = Lam(STAR_SORT, Var(0))
+
+
+@pytest.mark.parametrize("t,steps,nf", [
+    # ((\x:*. x) (\y:*. y)) z: the contractum is a lambda in function
+    # position, so its parent becomes the next redex
+    (App(App(IDENT, IDENT), Var(0)), 2, Var(0)),
+    # the same one level down: the second contraction is at the focus's
+    # own root, and the search climbs to a normal root
+    (app(App(IDENT, IDENT), Var(0), Var(1)), 2, App(Var(0), Var(1))),
+    # f ((\a:*. a) x) ((\y:*. y) z): after the first step the focus f x is
+    # normal, and the next redex is in its right sibling
+    (app(Var(2), App(IDENT, Var(1)), App(IDENT, Var(0))), 2,
+     app(Var(2), Var(1), Var(0))),
+    # x ((\a:*. a) y) y ... y ((\b:*. b) z): the normal focus climbs 31
+    # levels of normal arguments to the next redex
+    (app(Var(0), App(IDENT, Var(1)), *[Var(1)] * 30, App(IDENT, Var(2))), 2,
+     app(Var(0), *[Var(1)] * 31, Var(2))),
+])
+def test_focus_climbs_where_it_must(t, steps, nf):
+    tr = normalize(t, 100, keep_steps=False)
+    assert tr.step_count == steps and tr.outcome == NormalForm(nf)
+    assert_focus_matches_root(t, range(steps + 2))
+
+
+def test_focus_fuel_cut_inside_a_spine():
+    # I I ... I contracts its innermost application first; after 10 steps
+    # the spine has lost 10 of them, and the whole term is rebuilt
+    t = app(IDENT, *[IDENT] * 50)
+    tr = normalize(t, 10, keep_steps=False)
+    assert tr.step_count == 10
+    assert tr.outcome == FuelExhausted(app(IDENT, *[IDENT] * 40), 10)
+    assert_focus_matches_root(t, (0, 1, 10, 49, 50, 51))
+
+
+def test_focused_spine_rebuilds_linearly(monkeypatch):
+    # the first search rebuilds the spine once, then each step rebuilds one
+    # level (~2n nodes in all); a search from the root rebuilds ~n^2/2
+    n = 2000
+    t = app(IDENT, *[IDENT] * n)
+    rebuild = term_module._rebuild
+    built = 0
+
+    def counting(parents, path, new):
+        nonlocal built
+        built += len(parents)
+        return rebuild(parents, path, new)
+
+    monkeypatch.setattr(term_module, "_rebuild", counting)
+    tr = normalize(t, 10 * n, keep_steps=False)
+    assert tr.step_count == n and tr.outcome == NormalForm(IDENT)
+    assert built <= 4 * n
+
+
 # --- cycle table: same outcome as a table of whole terms -------------------
 
 def reference_normalize(t, fuel, detect_cycles=False, jrules=None,
