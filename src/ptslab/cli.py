@@ -12,8 +12,8 @@ import os
 import sys
 from typing import NoReturn
 
-from .term import (App, CycleDetected, FuelExhausted, JRules, NormalForm,
-                   normalize)
+from .term import (App, CycleDetected, DEFAULT_FUEL, FuelExhausted, JRules,
+                   NormalForm, normalize)
 from .syntax import Definition, ParseError, parse, pragma, pretty
 from .systems import EMPTY, SYSTEMS, TypingError, check, infer
 from .encodings import definitions, registry
@@ -21,7 +21,6 @@ from .erase import EraseError, erase as erase_term
 from . import codes as cd
 from . import paradox as px
 
-FUEL_NORMALIZE = 10_000
 FUEL_LOOP = 100
 FUEL_DEMO = 1_000_000
 FUEL_FLAT = 10_000_000
@@ -59,16 +58,17 @@ def _emit(args, payload: dict, text: str, file=None) -> None:
 
 def _load(path: str, system_flag: str | None):
     try:
-        text = open(path, encoding="utf-8").read()
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
     except OSError as exc:
         _usage_error(str(exc))
+    except UnicodeDecodeError as exc:
+        _usage_error(f"{path} is not UTF-8: {exc}")
     try:
         system = system_flag or pragma(text) or "f"
     except ParseError as exc:
         print(f"{path}:{exc}", file=sys.stderr)
         raise SystemExit(2)
-    if system not in SYSTEMS:
-        _usage_error(f"unknown system {system!r}")
     try:
         src = parse(text, definitions(system))
     except ParseError as exc:
@@ -136,7 +136,7 @@ def cmd_normalize(args) -> int:
     src, spec = _load(args.file, args.system)
     show = _printer(spec)
     t = _find_term(src, args.term)
-    fuel = _fuel(args.fuel, FUEL_NORMALIZE)
+    fuel = _fuel(args.fuel, DEFAULT_FUEL)
     jrules = JRules() if spec.with_j else None
     tr = normalize(t, fuel, detect_cycles=args.cycles, jrules=jrules,
                    keep_steps=args.trace)

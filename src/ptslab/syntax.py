@@ -4,7 +4,7 @@ Grammar (binders extend maximally right; `->` is right associative and binds
 looser than application):
 
     file  := [pragma] item*
-    pragma:= '#system' ('stlc' | 'f' | 'f+j' | 'star' | 'uminus')
+    pragma:= '#system' system          a name in systems.SYSTEMS
     item  := name ':=' term ';'        definition (expanded as a closed macro)
            | name ':' term ';'         type check of an earlier definition
     term  := '\' name ':' term '.' term
@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 from .term import (App, BOX_SORT, Lam, Pi, PrimJ, J, Sort, STAR,
                    STAR_SORT, Term, UNTYPED, Var)
+from .systems import SYSTEMS
 
 
 class ParseError(Exception):
@@ -174,7 +175,7 @@ class _Parser:
         if self.toks[self.pos][0] == "+":  # f+j
             self.pos += 1
             name += "+" + self.expect("name")
-        if name not in ("stlc", "f", "f+j", "star", "uminus"):
+        if name not in SYSTEMS:
             raise _error(self.text, at, "a system name")
         return name
 

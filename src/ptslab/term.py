@@ -15,12 +15,12 @@ cycle table and no J rules, resumes each search at the parent of the last
 contraction and keeps the ancestors above it stale (a zipper), so a step on
 a deep spine costs what the redex's neighbourhood costs, not its depth.
 
-Hashes are cached on construction, except on the ancestors that _rebuild
-puts above a contractum (and on nodes built over such an ancestor): a step
-rebuilds its whole path to the root (or to normalize's focus), and nothing
-reads those hashes unless the term goes into a hash table.  hash() fills a
-missing hash on demand, children first, with the same formula, so a term
-hashes the same however it was built.
+Every node carries its hash from construction: Lam, App and Pi hash as
+hash((tag, left hash, right hash)) over their children's cached hashes, so
+hash() reads a field, a term hashes the same however it was built, and ==
+rejects two terms at once when their hashes differ.  Past its first 64
+interior pairs, == compares each pair of distinct interior nodes once, so
+equal terms that share subterms are compared as DAGs, not as trees.
 
 Reduction positions are tuples of 0/1: 0 selects fun/domain, 1 selects
 arg/body/codomain.
@@ -44,21 +44,25 @@ class Term:
     __slots__ = ("_hash", "fvb", "nf")
 
     def __hash__(self) -> int:
-        h = self._hash
-        return h if h is not None else _fill_hash(self)
+        return self._hash
 
     def __eq__(self, other):
         if self is other:
             return True
         if not isinstance(other, Term):
             return NotImplemented
+        if self._hash != other._hash:
+            return False
         stack = [(self, other)]
+        # a memo of compared interior pairs bounds the walk by the pairs of
+        # nodes, not of paths; it starts after 64 pairs, more than most
+        # calls compare, so they build no memo
+        unrecorded = 64
         while stack:
             x, y = stack.pop()
             if x is y:
                 continue
-            hx, hy = x._hash, y._hash
-            if hx != hy and hx is not None and hy is not None:
+            if x._hash != y._hash:
                 return False
             tx = type(x)
             if tx is not type(y):
@@ -72,6 +76,15 @@ class Term:
             elif tx is PrimJ:
                 pass
             else:
+                if unrecorded:
+                    unrecorded -= 1
+                    if not unrecorded:
+                        seen = set()
+                else:
+                    pair = (id(x), id(y))
+                    if pair in seen:
+                        continue
+                    seen.add(pair)
                 stack.append((x.right, y.right))
                 stack.append((x.left, y.left))
         return True
@@ -116,12 +129,8 @@ class PrimJ(Term):
         self._hash = hash((0x4A00,))
 
 
-# Lam, App and Pi hash as hash((tag, left hash, right hash)); a node with an
-# unhashed child stays unhashed until hash() asks (_fill_hash).
-
 class Lam(Term):
     __slots__ = ("left", "right")
-    tag = 0x4C33
 
     def __init__(self, domain: Term, body: Term):
         self.left = domain
@@ -129,14 +138,11 @@ class Lam(Term):
         a, b = domain.fvb, body.fvb - 1
         self.fvb = a if a > b else b
         self.nf = 0
-        a, b = domain._hash, body._hash
-        self._hash = (None if a is None or b is None
-                      else hash((0x4C33, a, b)))
+        self._hash = hash((0x4C33, domain._hash, body._hash))
 
 
 class App(Term):
     __slots__ = ("left", "right")
-    tag = 0x4155
 
     def __init__(self, fun: Term, arg: Term):
         self.left = fun
@@ -144,14 +150,11 @@ class App(Term):
         a, b = fun.fvb, arg.fvb
         self.fvb = a if a > b else b
         self.nf = 0
-        a, b = fun._hash, arg._hash
-        self._hash = (None if a is None or b is None
-                      else hash((0x4155, a, b)))
+        self._hash = hash((0x4155, fun._hash, arg._hash))
 
 
 class Pi(Term):
     __slots__ = ("left", "right")
-    tag = 0x5044
 
     def __init__(self, domain: Term, codomain: Term):
         self.left = domain
@@ -159,26 +162,7 @@ class Pi(Term):
         a, b = domain.fvb, codomain.fvb - 1
         self.fvb = a if a > b else b
         self.nf = 0
-        a, b = domain._hash, codomain._hash
-        self._hash = (None if a is None or b is None
-                      else hash((0x5044, a, b)))
-
-
-def _fill_hash(t: Term) -> int:
-    """Compute and cache the missing hashes of t's subtree, children first;
-    leaves always carry theirs."""
-    stack = [t]
-    while stack:
-        node = stack[-1]
-        a, b = node.left._hash, node.right._hash
-        if a is None:
-            stack.append(node.left)
-        elif b is None:
-            stack.append(node.right)
-        else:
-            node._hash = hash((node.tag, a, b))
-            stack.pop()
-    return t._hash
+        self._hash = hash((0x5044, domain._hash, codomain._hash))
 
 
 J = PrimJ()
@@ -462,8 +446,6 @@ def normalize(t: Term, fuel: int = DEFAULT_FUEL, detect_cycles: bool = False,
     while True:
         if fps is not None:
             h = cur._hash
-            if h is None:
-                h = _fill_hash(cur)
             remember(h)
             i = _probe(slots, mask, fps, h)
             first = slots[i]
@@ -568,30 +550,16 @@ def normal_form_of(t: Term, fuel: int = DEFAULT_FUEL) -> Term | None:
     return None
 
 
-_new = object.__new__
-
-
 def _rebuild(parents: list[Term], path: list[int] | tuple[int, ...],
              new: Term) -> Term:
     """Put new in place of the subterm reached from parents[0] along path;
-    parents[i] is the node at depth i, path[i] the child taken from it.
-    Each rebuilt ancestor gets the fields its constructor would give it but
-    the hash, which stays unset until hash() asks for it."""
+    parents[i] is the node at depth i, path[i] the child taken from it."""
     for k in range(len(parents) - 1, -1, -1):
         parent = parents[k]
         if path[k]:
-            left, right = parent.left, new
+            new = type(parent)(parent.left, new)
         else:
-            left, right = new, parent.right
-        cls = type(parent)
-        new = _new(cls)
-        new.left = left
-        new.right = right
-        a = left.fvb
-        b = right.fvb if cls is App else right.fvb - 1
-        new.fvb = a if a > b else b
-        new.nf = 0
-        new._hash = None
+            new = type(parent)(new, parent.right)
     return new
 
 

@@ -116,6 +116,20 @@ def test_missing_file_exits_2(capsys, tmp_path):
     assert ei.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [["check"], ["normalize", "--term", "x"],
+                                  ["erase", "--term", "x"]],
+                         ids=lambda argv: argv[0])
+def test_file_not_in_utf8_exits_2(capsys, tmp_path, argv):
+    p = tmp_path / "latin.ipl"
+    p.write_bytes(b"#system f\nx := \xff\xfe;\n")
+    with pytest.raises(SystemExit) as ei:
+        main([argv[0], str(p), *argv[1:]])
+    assert ei.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {p} is not UTF-8: ")
+    assert "Traceback" not in err
+
+
 # --- normalize -------------------------------------------------------------
 
 def test_normalize_id_bool(capsys, good):

@@ -5,7 +5,8 @@ import pytest
 
 from ptslab.term import App, Lam, Pi, Sort, STAR_SORT, Var
 from ptslab.syntax import (Check, Definition, ParseError, SourceFile,
-                           _mentions_bound, parse, parse_term, pretty)
+                           _mentions_bound, parse, parse_term, pragma, pretty)
+from ptslab.systems import SYSTEMS
 from ptslab.encodings import definitions, registry
 from ptslab.corpus import random_wellscoped, welltyped_corpus
 
@@ -128,6 +129,11 @@ def test_parse_error_sites(parser, text, line, column, expected):
     assert (ei.value.line, ei.value.column, ei.value.expected) == \
         (line, column, expected)
     assert str(ei.value) == f"{line}:{column}: expected {expected}"
+
+
+def test_pragma_names_every_system():
+    for name in SYSTEMS:
+        assert pragma(f"#system {name}") == name
 
 
 def test_unknown_name():

@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 from array import array
 
@@ -6,10 +7,10 @@ import pytest
 
 import ptslab.term as term_module
 from ptslab.term import (App, CycleDetected, FuelExhausted, JRules, Lam,
-                         NormalForm, Pi, ReductionTrace, Sort, STAR_SORT, Step,
-                         Term, Var, app, contract_at, normal_form_of, normalize,
-                         redex_positions, reducts, shift, step_normal_order,
-                         substitute)
+                         NormalForm, Pi, PrimJ, ReductionTrace, Sort, STAR_SORT,
+                         Step, Term, Var, app, contract_at, head_step,
+                         normal_form_of, normalize, redex_positions, reducts,
+                         shift, step_normal_order, substitute)
 from ptslab.syntax import parse_term
 from ptslab.encodings import definitions
 from ptslab.corpus import random_wellscoped, welltyped_corpus
@@ -345,63 +346,121 @@ def test_reducts_are_the_contractions_at_redex_positions():
     assert branching > 20
 
 
-# --- hashes on demand: rebuilt ancestors hash and compare as built ones ----
+# --- hashed on construction: every reduct hashes and compares as built -----
 
-def constructor_copy(t):
-    """t with every node whose hash is unset rebuilt bottom-up by the
-    constructors, which hash on construction; hashed subtrees are shared,
-    so the copy costs what the unhashed part of t costs."""
-    memo = {}
-    stack = [t]
-    while stack:
-        node = stack[-1]
-        if node._hash is not None or id(node) in memo:
+def constructor_copies(terms):
+    """Rebuild each term from scratch by the constructors, leaves included,
+    so that no copy shares a node with the originals, and check as each
+    node is copied that it carries its copy's hash.  Each physical node is
+    copied once, however many terms share it.  Yields (term, copy)."""
+    memo = {}   # id(node) -> (node, copy); holding node keeps its id unique
+    for t in terms:
+        stack = [t]
+        while stack:
+            node = stack[-1]
+            if id(node) in memo:
+                stack.pop()
+                continue
+            tn = type(node)
+            if tn is Var:
+                copy = Var(node.index)
+            elif tn is Sort:
+                copy = Sort(node.name)
+            elif tn is PrimJ:
+                copy = PrimJ()
+            else:
+                todo = [c for c in (node.right, node.left) if id(c) not in memo]
+                if todo:
+                    stack += todo
+                    continue
+                copy = tn(memo[id(node.left)][1], memo[id(node.right)][1])
+            assert node._hash == copy._hash
+            memo[id(node)] = (node, copy)
             stack.pop()
-            continue
-        todo = [c for c in (node.right, node.left)
-                if c._hash is None and id(c) not in memo]
-        if todo:
-            stack += todo
-            continue
-        stack.pop()
-        memo[id(node)] = type(node)(memo.get(id(node.left), node.left),
-                                    memo.get(id(node.right), node.right))
-    return memo.get(id(t), t)
+        yield t, memo[id(t)][1]
 
 
-def assert_steps_hash_as_built(tr):
-    """Every reduct of the trace equals, and hashes as, its copy built by
-    the constructors; returns how many reducts had their hash left unset."""
-    lazy = 0
-    for s in tr.steps:
-        lazy += s.after._hash is None
-        copy = constructor_copy(s.after)
-        assert copy._hash is not None
-        assert s.after == copy          # hashes still unset on one side
-        assert hash(s.after) == hash(copy)
-        assert s.after == copy and copy == s.after
-    return lazy
+def assert_hashed_as_built(terms, compare=True):
+    """Every node of every term hashes as its constructor-built copy, and,
+    if compare, each term equals its copy both ways; returns how many terms."""
+    n = 0
+    for t, copy in constructor_copies(terms):
+        assert hash(t) == hash(copy)
+        if compare:
+            assert t == copy and copy == t
+        n += 1
+    return n
 
 
 def test_rebuilt_reducts_hash_as_built_on_flat():
     fm = build_flat_machinery()
     for k in range(1, 9):
-        tr = normalize(App(fm.flat, church(k)), 100_000)
-        assert type(tr.outcome) is NormalForm
-        # flat's redexes sit under the spine, so most reducts are rebuilt
-        assert assert_steps_hash_as_built(tr) > tr.step_count // 2
+        start = App(fm.flat, church(k))
+        # a focused run rebuilds its stale ancestors for the final term
+        done = normalize(start, 100_000, keep_steps=False)
+        cut = normalize(start, done.step_count // 2, keep_steps=False).outcome
+        assert type(done.outcome) is NormalForm and type(cut) is FuelExhausted
+        assert_hashed_as_built([done.outcome.term, cut.last])
+        tr = normalize(start, 100_000)
+        assert tr.step_count == done.step_count
+        assert cut.last == tr.steps[tr.step_count // 2 - 1].after
+        assert tr.outcome.term == done.outcome.term
+        # every node of every reduct hashes as its copy; comparing each of
+        # the ~19000 reducts of flat(#5..#8) with its copy would take ~15 s
+        assert assert_hashed_as_built((s.after for s in tr.steps),
+                                      compare=k <= 4) == tr.step_count
 
 
 def test_rebuilt_reducts_hash_as_built_on_hurkens_prefix():
     tr = normalize(build_hurkens(), 2000)
-    assert assert_steps_hash_as_built(tr) > 0
+    assert assert_hashed_as_built(s.after for s in tr.steps) == 2000
 
 
 def test_rebuilt_reducts_hash_as_built_on_j_loop():
     fj = definitions("f+j")
     tr = normalize(App(App(fj["K"], fj["rho"]), fj["K"]), 60, jrules=JRules())
     assert {s.rule for s in tr.steps} > {"beta"}
-    assert assert_steps_hash_as_built(tr) > 0
+    assert assert_hashed_as_built(s.after for s in tr.steps) == 60
+
+
+def test_every_kind_of_reduct_hashes_as_built():
+    built = []
+    for t, _ in welltyped_corpus(80, seed=21, max_nodes=60):
+        built += reducts(t)
+        built += [contract_at(t, p) for p in redex_positions(t)]
+        built += [head_step(t) or t, shift(t, 2)]
+        if type(t) is Lam:
+            built.append(substitute(t.right, T("Bool -> Bool")))
+    assert len(built) > 300
+    assert_hashed_as_built(built)
+    fj = definitions("f+j")
+    loop = App(App(fj["K"], fj["rho"]), fj["K"])
+    jrules = JRules()
+    assert_hashed_as_built([head_step(loop, jrules),
+                            *(contract_at(loop, p, jrules)
+                              for p in redex_positions(loop, jrules))])
+
+
+def test_equality_compares_shared_subterms_once():
+    # 2^24 leaves as a tree, 25 nodes as a DAG; the copy shares nothing
+    # with the tower and differs from it in sharing and, for other, in its
+    # last leaf, forged to hash as the tower's so that == must walk to it
+    def tower(k, last):
+        t, u = Var(0), last
+        for _ in range(k):
+            t, u = App(t, t), App(t, u)
+        return t, u
+
+    a, _ = tower(24, Var(0))
+    _, b = tower(24, Var(0))
+    forged = Var(1)
+    forged._hash = Var(0)._hash
+    _, other = tower(24, forged)
+    assert hash(other) == hash(a)
+    start = time.perf_counter()
+    assert a == b and b == a
+    assert a != other and other != a
+    assert time.perf_counter() - start < 1
 
 
 def test_deep_rebuilt_spine_hashes_compares_and_rewrites():
@@ -410,8 +469,8 @@ def test_deep_rebuilt_spine_hashes_compares_and_rewrites():
     for i in range(10_000):
         t = App(t, Var(i % 3))
     r, path, _ = step_normal_order(t)
-    assert len(path) == 10_000 and r._hash is None
-    copy = constructor_copy(r)
+    assert len(path) == 10_000
+    [(_, copy)] = constructor_copies([r])
     assert hash(r) == hash(copy)
     assert r == copy
     assert substitute(r, Var(7)) == substitute(copy, Var(7))
