@@ -66,10 +66,6 @@ def _load(path: str, system_flag: str | None):
         _usage_error(f"{path} is not UTF-8: {exc}")
     try:
         system = system_flag or pragma(text) or "f"
-    except ParseError as exc:
-        print(f"{path}:{exc}", file=sys.stderr)
-        raise SystemExit(2)
-    try:
         src = parse(text, definitions(system))
     except ParseError as exc:
         print(f"{path}:{exc}", file=sys.stderr)

@@ -5,10 +5,10 @@ type List[X] = Pi x:V. x -> (X->x->x) -> x with its selector delta, and the
 two course-of-values recursion builders:
 
  * build_prop1: given g and h, produce f with
-       f(x,0)   = g(x)
-       f(x,y+1) = h(x, y+1, f(x,k1(y+1)), ..., f(x,km(y+1)))
-   via an accumulated list F(x,y) = <f(x,0), ..., f(x,y)> and
-   f(x,y) = delta(y+1, F(x,y)).
+       f(0)   = g
+       f(y+1) = h(y+1, f(k1(y+1)), ..., f(km(y+1)))
+   via an accumulated list F(y) = <f(0), ..., f(y)> and
+   f(y) = delta(y+1, F(y)).
 
  * build_prop2: the mutually recursive T/F pair packaging codes as
    prime-product numerals, T(0) = 2^#C, T(y+1) = T(y) * pi(y+1)^#D(...),
@@ -90,12 +90,8 @@ def _base_defs() -> dict[str, Term]:
     for name, text in src:
         defs[name] = parse_term(text, defs)
     # bounded prime enumeration, 0-based: pi(0)=2 ... pi(7)=19
-    chain = f"c{PRIMES[-1]}"
-    for j in range(len(PRIMES) - 2, -1, -1):
-        preds = "n"
-        for _ in range(j):
-            preds = f"(pred {preds})"
-        chain = f"sel {{Nty}} {preds} c{PRIMES[j]} ({chain})"
+    cases = {j: f"c{q}" for j, q in enumerate(PRIMES[:-1])}
+    chain = _ascending_chain(cases, f"c{PRIMES[-1]}", ty="Nty", first=0)
     defs["pi"] = parse_term(rf"\n:Nty. {chain}", defs)
     return defs
 
@@ -105,15 +101,14 @@ def base_defs() -> dict[str, Term]:
 
 
 def _ascending_chain(cases: dict[int, str], default: str, var: str = "n",
-                     ty: str = "V") -> str:
-    """sel-chain text dispatching on var = 1, 2, ... in order.  The test for
-    case c is pred^c(var) == 0, which is exact only when every smaller value
-    was already caught, so gaps are filled with the default branch."""
+                     ty: str = "V", first: int = 1) -> str:
+    """sel-chain text dispatching on var = first, first + 1, ... in order.
+    The test for case c is pred^c(var) == 0, which is exact only when every
+    smaller value was already caught, so gaps are filled with the default
+    branch."""
     text = default
-    for c in range(max(cases), 0, -1):
-        preds = var
-        for _ in range(c):
-            preds = f"(pred {preds})"
+    for c in range(max(cases), first - 1, -1):
+        preds = "(pred " * c + var + ")" * c
         text = f"sel {{{ty}}} {preds} ({cases.get(c, default)}) ({text})"
     return text
 
@@ -176,75 +171,64 @@ def default_code_table() -> CodeTable:
     return CodeTable(terms, typ)
 
 
-def _check_ingredient(name: str, t: Term, ty: Term) -> None:
-    try:
-        check(LAMBDA_STAR, EMPTY, t, ty)
-    except TypingError as exc:
-        raise IllTypedIngredient(f"{name}: {exc}") from exc
+def _ingredients(defs: dict[str, Term], named: list[tuple[str, Term, str]],
+                 ks: list[Term]) -> None:
+    """Bind each (name, term, type text) ingredient and k1..km in defs,
+    check each at its type in star (k_i at Nty -> Nty), then check the
+    guard k_i(x+1) < x+1 on the numerals 1..8."""
+    ks_named = [(f"k{i}", k, "Nty -> Nty") for i, k in enumerate(ks, 1)]
+    for name, t, ty in named + ks_named:
+        defs[name] = t
+        try:
+            check(LAMBDA_STAR, EMPTY, t, parse_term(ty, defs))
+        except TypingError as exc:
+            raise IllTypedIngredient(f"{name}: {exc}") from exc
+    for i, k in enumerate(ks, 1):
+        for x in range(1, 9):
+            v = numeral_value(App(k, church(x)))
+            if v is None or v >= x:
+                raise GuardViolation(f"k{i}({x}) = {v}, not below {x}")
 
 
-def _check_guards(ks: list[Term]) -> None:
-    for i, k in enumerate(ks):
-        for x in range(8):
-            v = numeral_value(App(k, church(x + 1)))
-            if v is None or v >= x + 1:
-                raise GuardViolation(
-                    f"k{i + 1}({x + 1}) = {v}, not below {x + 1}")
-
-
-def _arrow_ty(defs, *parts: str) -> Term:
-    return parse_term(" -> ".join(parts), defs)
+def _picks(ty: str, y: str, values: str, m: int) -> str:
+    """The course-of-values arguments f(k1(y+1)) .. f(km(y+1)), each picked
+    from the list of values f(0) .. f(y) of type List ty."""
+    return "".join(f" (delta {{{ty}}} (succ (k{i} (succ {y}))) {values})"
+                   for i in range(1, m + 1))
 
 
 @dataclass(frozen=True)
 class Prop1:
     """f, its course-of-values list F, and the base case g it was built
-    from.  f x1..xp y : A."""
+    from.  f y : A."""
     f: Term
     F: Term
     g: Term
 
 
-def build_prop1(A: Term, g: Term, h: Term, ks: list[Term], p: int = 0) -> Prop1:
+def build_prop1(A: Term, g: Term, h: Term, ks: list[Term]) -> Prop1:
     """Course-of-values recursion over N, one accumulated list per call.
 
-    Types expected: A : V closed; g : N^p -> A; h : N^p -> N -> A^m -> A;
-    each k : N -> N with k(x+1) < x+1 (checked on numerals 1..8).
+    Types expected: A : V closed; g : A; h : N -> A^m -> A; each
+    k : N -> N with k(x+1) < x+1 (checked on numerals 1..8).
     """
     defs = base_defs()
-    defs["Aty"], defs["g"], defs["h"] = A, g, h
-    m = len(ks)
-    for i, k in enumerate(ks):
-        defs[f"k{i + 1}"] = k
+    h_ty = " -> ".join(["Nty"] + ["A"] * (len(ks) + 1))
+    _ingredients(defs, [("A", A, "V"), ("g", g, "A"), ("h", h, h_ty)], ks)
 
-    nn = ["Nty"] * p
-    _check_ingredient("A", A, parse_term("V", defs))
-    _check_ingredient("g", g, _arrow_ty(defs, *nn, "Aty"))
-    _check_ingredient("h", h, _arrow_ty(defs, *nn, "Nty", *["Aty"] * m, "Aty"))
-    for i, k in enumerate(ks):
-        _check_ingredient(f"k{i + 1}", k, _arrow_ty(defs, "Nty", "Nty"))
-    _check_guards(ks)
-
-    xs = "".join(f"\\x{i}:Nty. " for i in range(1, p + 1))
-    xargs = "".join(f" x{i}" for i in range(1, p + 1))
-    defs["St"] = parse_term("Pair Nty (List Aty)", defs)
-    fst_s = "(pfst {Nty} {List Aty} s)"
-    snd_s = "(psnd {Nty} {List Aty} s)"
-    picks = "".join(
-        f" (delta {{Aty}} (succ (k{i + 1} (succ {fst_s}))) {snd_s})"
-        for i in range(m))
+    defs["St"] = parse_term("Pair Nty (List A)", defs)
+    fst_s = "(pfst {Nty} {List A} s)"
+    snd_s = "(psnd {Nty} {List A} s)"
+    picks = _picks("A", fst_s, snd_s, len(ks))
     defs["step"] = parse_term(
-        rf"\s:St. mkpair {{Nty}} {{List Aty}} (succ {fst_s}) "
-        rf"(conc {{Aty}} {snd_s} (h{xargs} (succ {fst_s}){picks}))", defs)
+        rf"\s:St. mkpair {{Nty}} {{List A}} (succ {fst_s}) "
+        rf"(conc {{A}} {snd_s} (h (succ {fst_s}){picks}))", defs)
     defs["base"] = parse_term(
-        rf"mkpair {{Nty}} {{List Aty}} c0 (conc {{Aty}} (nil {{Aty}}) (g{xargs}))",
-        defs)
-    Ffun = parse_term(
-        rf"{xs}\y:Nty. psnd {{Nty}} {{List Aty}} (y {{St}} step base)", defs)
-    defs["Ffun"] = Ffun
-    ffun = parse_term(
-        rf"{xs}\y:Nty. delta {{Aty}} (succ y) (Ffun{xargs} y)", defs)
-    return Prop1(ffun, Ffun, g)
+        r"mkpair {Nty} {List A} c0 (conc {A} (nil {A}) g)", defs)
+    defs["Ffun"] = parse_term(
+        r"\y:Nty. psnd {Nty} {List A} (y {St} step base)", defs)
+    f = parse_term(r"\y:Nty. delta {A} (succ y) (Ffun y)", defs)
+    return Prop1(f, defs["Ffun"], g)
 
 
 def type_codes(table: CodeTable) -> list[int]:
@@ -286,24 +270,15 @@ class Prop2:
 
 
 def build_prop2(Ccode: int, gcode: int, dcode: Term, hcode: Term,
-                ks: list[Term], p: int = 0) -> Prop2:
-    """Ingredient types: dcode, hcode : N^p -> N -> N^m -> N (the coding
+                ks: list[Term]) -> Prop2:
+    """Ingredient types: dcode, hcode : N -> N^m -> N (the coding
     functions #D and #h of the statement, on codes); k : N -> N guarded.
 
     The paper's delta on a prime product is realized on the carried exponent
     list; the products themselves satisfy the displayed equations."""
     defs = base_defs()
-    m = len(ks)
-    defs["dcode"], defs["hcode"] = dcode, hcode
-    for i, k in enumerate(ks):
-        defs[f"k{i + 1}"] = k
-    nn = ["Nty"] * p
-    arity = _arrow_ty(defs, *nn, "Nty", *["Nty"] * m, "Nty")
-    _check_ingredient("dcode", dcode, arity)
-    _check_ingredient("hcode", hcode, arity)
-    for i, k in enumerate(ks):
-        _check_ingredient(f"k{i + 1}", k, _arrow_ty(defs, "Nty", "Nty"))
-    _check_guards(ks)
+    arity = " -> ".join(["Nty"] * (len(ks) + 2))
+    _ingredients(defs, [("dcode", dcode, arity), ("hcode", hcode, arity)], ks)
 
     for name, text in [
             ("LN", "List Nty"),
@@ -322,15 +297,9 @@ def build_prop2(Ccode: int, gcode: int, dcode: Term, hcode: Term,
     for name, body in acc.items():
         defs[name] = parse_term(rf"\s:St2. {body}", defs)
 
-    xs = "".join(f"\\x{i}:Nty. " for i in range(1, p + 1))
-    xargs = "".join(f" x{i}" for i in range(1, p + 1))
-    picks = "".join(
-        f" (delta {{Nty}} (succ (k{i + 1} (succ (yof s)))) (FCof s))"
-        for i in range(m))
-    defs["ac"] = parse_term(
-        rf"\s:St2. dcode{xargs} (succ (yof s)){picks}", defs)
-    defs["fc"] = parse_term(
-        rf"\s:St2. hcode{xargs} (succ (yof s)){picks}", defs)
+    picks = _picks("Nty", "(yof s)", "(FCof s)", len(ks))
+    defs["ac"] = parse_term(rf"\s:St2. dcode (succ (yof s)){picks}", defs)
+    defs["fc"] = parse_term(rf"\s:St2. hcode (succ (yof s)){picks}", defs)
     defs["step2"] = parse_term(
         r"\s:St2. mkpair {Nty} {R1} (succ (yof s)) "
         r"(mkpair {Nty} {R2} (mult (Tof s) (exp (pi (succ (yof s))) (ac s))) "
@@ -343,14 +312,12 @@ def build_prop2(Ccode: int, gcode: int, dcode: Term, hcode: Term,
         rf"(mkpair {{Nty}} {{R3}} (exp c2 c{gcode}) "
         rf"(mkpair {{LN}} {{LN}} (conc {{Nty}} (nil {{Nty}}) c{Ccode}) "
         rf"(conc {{Nty}} (nil {{Nty}}) c{gcode}))))", defs)
-    defs["run"] = parse_term(rf"{xs}\y:Nty. y {{St2}} step2 base2", defs)
-    T = parse_term(rf"{xs}\y:Nty. Tof (run{xargs} y)", defs)
-    F = parse_term(rf"{xs}\y:Nty. Fof (run{xargs} y)", defs)
-    defs["ACfun"] = parse_term(rf"{xs}\y:Nty. ACof (run{xargs} y)", defs)
+    defs["run"] = parse_term(r"\y:Nty. y {St2} step2 base2", defs)
+    T, F, defs["ACfun"] = (parse_term(rf"\y:Nty. {part} (run y)", defs)
+                           for part in ("Tof", "Fof", "ACof"))
     defs["flatf"] = build_flat().f
-    Aty = parse_term(
-        rf"{xs}\y:Nty. flatf (delta {{Nty}} (succ y) (ACfun{xargs} y))", defs)
-    return Prop2(T, F, Aty)
+    A = parse_term(r"\y:Nty. flatf (delta {Nty} (succ y) (ACfun y))", defs)
+    return Prop2(T, F, A)
 
 
 @dataclass(frozen=True)

@@ -195,6 +195,11 @@ class _Checker:
             ta = type(wa)
             if ta is not type(wb) or ta in (Var, Sort, PrimJ):
                 return False  # structural equality already failed
+            if ta is App:
+                # head_step found nothing on the spine, so the function
+                # parts are weak head normal too: no re-walk at each level
+                self.whnfs[wa.left] = wa.left
+                self.whnfs[wb.left] = wb.left
             todo.append((wa.right, wb.right))
             todo.append((wa.left, wb.left))
         return True

@@ -93,6 +93,21 @@ def test_parse_error_exits_2(capsys, tmp_path):
     assert ei.value.code == 2
 
 
+@pytest.mark.parametrize("name,text,err", [
+    ("bad.ipl", "#system nope\nx := Bool;\n",
+     "bad.ipl:1:9: expected a system name\n"),
+    ("bad2.ipl", "#system f\nx := ;\n", "bad2.ipl:2:6: expected a term\n"),
+], ids=["pragma", "parse"])
+def test_parse_error_message(capsys, tmp_path, monkeypatch, name, text, err):
+    # a bad pragma and a bad definition take the same path to stderr
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_text(text)
+    with pytest.raises(SystemExit) as ei:
+        main(["check", name])
+    assert ei.value.code == 2
+    assert capsys.readouterr() == ("", err)
+
+
 DEEP_PARENS = "#system f\nx := " + "(" * 2000 + "Bool" + ")" * 2000 + ";\n"
 DEEP_CHAIN = "#system f\nd0 := \\x:Bool. x;\n" + "".join(
     f"d{k} := \\x:Bool. d{k - 1} (d{k - 1} x);\n" for k in range(1, 400))

@@ -1,8 +1,10 @@
+import hashlib
+
 import pytest
 
 from ptslab.term import App, STAR_SORT, app, normal_form_of
 from ptslab.systems import EMPTY, SYSTEMS, check, infer
-from ptslab.syntax import parse_term
+from ptslab.syntax import parse_term, pretty
 from ptslab.encodings import definitions
 from ptslab.codes import (CodeTable, GuardViolation, IllTypedIngredient,
                           PRIMES, base_defs, build_flat, build_flat_machinery,
@@ -157,6 +159,17 @@ def test_identity_k_is_also_rejected():
                     [parse_term(r"\n:Nty. n", d)])
 
 
+def test_prop1_with_two_course_of_values_arguments():
+    # Fibonacci: f(0) = 1, f(y+1) = f(pred(y+1)) + f(pred(pred(y+1))),
+    # with f(-1) read as f(0)
+    d = base_defs()
+    h = parse_term(r"\y:Nty. \a:Nty. \b:Nty. plus a b", d)
+    ks = [d["pred"], parse_term(r"\n:Nty. pred (pred n)", d)]
+    f = build_prop1(d["Nty"], d["c1"], h, ks).f
+    check(STAR, EMPTY, f, parse_term("Nty -> Nty", d))
+    assert [nv(App(f, church(y))) for y in range(6)] == [1, 2, 3, 5, 8, 13]
+
+
 # --- Proposition 2 ---------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -208,3 +221,14 @@ def test_machinery_parts_typecheck_cold(machinery):
     check(STAR, EMPTY, machinery.list_type, parse_term("V -> V"))
     check(STAR, EMPTY, machinery.flat, parse_term("Nty -> V", d))
     infer(STAR, EMPTY, machinery.delta)
+
+
+def test_appendix_b_terms_are_pinned(machinery):
+    # the printed Appendix-B terms, pinned so that a rewrite of the builders
+    # must build exactly the same terms
+    m = machinery
+    terms = [m.flat, m.prop1.F, m.prop1.g, m.prop2.T, m.prop2.F, m.prop2.A,
+             m.delta, m.list_type, base_defs()["pi"], m.table.typ_term()]
+    text = "".join(pretty(t) for t in terms)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "e69025399b4b847cfe3928dc6c2b59448047a2aee04c98e242cefb91abc44c8e")

@@ -232,6 +232,25 @@ def test_convertible_on_deep_spines():
                        deep_spine(Var(1))) == "distinct"
 
 
+def test_conv_on_deep_spines_is_linear(monkeypatch):
+    # each level's function part is known weak head normal from the level
+    # above, so the spine is walked a bounded number of times, not n times
+    from ptslab import term
+    calls = 0
+    match = term._match_redex
+
+    def counting(node, jrules):
+        nonlocal calls
+        calls += 1
+        return match(node, jrules)
+
+    monkeypatch.setattr(term, "_match_redex", counting)
+    n = 5000
+    assert convertible(SYSTEM_F, EMPTY, deep_spine(Var(0)),
+                       deep_spine(Var(1))) == "distinct"
+    assert calls < 5 * n
+
+
 # --- subject reduction probe -----------------------------------------------
 
 def test_probe_on_identity_chain():
