@@ -8,9 +8,7 @@ every emitted term carries its type with it.
 from __future__ import annotations
 
 import random
-from collections.abc import Mapping
 from functools import lru_cache
-from types import MappingProxyType
 
 from .term import (App, Lam, Pi, STAR_SORT, Term, Var, app, shift)
 from .encodings import definitions
@@ -47,20 +45,13 @@ def random_wellscoped(rng: random.Random, size: int, free: int = 0) -> Term:
     return Pi(dom, random_wellscoped(rng, size - 1 - term_size(dom), free + 1))
 
 
-@lru_cache(maxsize=1)
-def _f_defs() -> Mapping[str, Term]:
-    """System F's definitions, read-only; definitions() builds a new dict
-    on every call, which the generators would otherwise pay per term."""
-    return MappingProxyType(definitions("f"))
-
-
 def random_type(rng: random.Random, depth: int = 2, tvars: int = 0) -> Term:
     """A closed System F type (when tvars = 0)."""
     r = rng.random()
     if depth <= 0 or r < 0.3:
         if tvars and rng.random() < 0.6:
             return Var(rng.randrange(tvars))
-        base = _f_defs()
+        base = definitions("f")
         return rng.choice([base["Bool"], base["rho"]])
     if r < 0.7:
         return Pi(random_type(rng, depth - 1, tvars),
@@ -73,7 +64,7 @@ def _seeds(max_nodes: int) -> tuple[tuple[Term, Term], ...]:
     """Small closed well-typed terms with their types, those of at most
     `max_nodes` nodes, in a fixed order."""
     from .syntax import parse_term
-    defs = _f_defs()
+    defs = definitions("f")
     pairs = [
         ("ID", "rho"),
         ("T", "Bool"),
@@ -94,7 +85,7 @@ def random_welltyped(rng: random.Random, max_nodes: int = 20) -> tuple[Term, Ter
     identity redexes, ID instantiation, vacuous type application, and
     numeral-driven iteration of the identity."""
     t, ty = rng.choice(_seeds(max_nodes))
-    defs = _f_defs()
+    defs = definitions("f")
     for _ in range(rng.randrange(4)):
         move = rng.randrange(4)
         if move == 0:

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 from .term import Term
 from .syntax import parse_term
@@ -130,14 +131,15 @@ def registry() -> tuple[EncodingEntry, ...]:
     return tuple(entries)
 
 
-def definitions(system: str) -> dict[str, Term]:
-    """Name -> term map for one system, usable as a parser prelude."""
+@lru_cache(maxsize=None)
+def definitions(system: str) -> MappingProxyType[str, Term]:
+    """Read-only name -> term map of one system, a parser prelude."""
     out: dict[str, Term] = {}
     for e in registry():
         if e.system == system or (system == "f+j" and e.system == "f") \
                 or (system == "star" and e.system == "f"):
             out[e.name] = e.term
-    return out
+    return MappingProxyType(out)
 
 
 def entry(name: str, system: str | None = None) -> EncodingEntry:

@@ -3,17 +3,17 @@
 A system is a triple (sorts, axioms, rules).  The same checker serves the
 simply typed calculus, System F, System U minus and the Type:Type calculus;
 only the triple changes.  There is one conversion algorithm, the checker's:
-it compares weak head normal forms level by level.  The fuel budget bounds
-both each weak head normalisation and the number of pairs one comparison
-visits, so checking in the Type:Type system can honestly report that it gave
-up instead of hanging.  `convertible` returns its verdict.
+it compares weak head normal forms (term.weak_head) level by level.  The
+fuel budget bounds both each weak head normalisation and the number of pairs
+one comparison visits, so checking in the Type:Type system can honestly
+report that it gave up instead of hanging.  `convertible` returns its verdict.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .term import (App, DEFAULT_FUEL, JRules, Lam, Pi, PrimJ, Sort, Term,
-                   Var, head_step, shift, step_normal_order, substitute, BOX,
+                   Var, shift, step_normal_order, substitute, weak_head, BOX,
                    STAR, TRIANGLE, STAR_SORT)
 
 
@@ -156,27 +156,20 @@ class _Checker:
         cached = self.whnfs.get(t)
         if cached is not None:
             return cached
-        orig = t
-        # fuel contractions, then one more head_step to tell a weak head
-        # normal form from exhaustion
-        for _ in range(self.fuel + 1):
-            r = head_step(t, self.jrules)
-            if r is None:
-                break
-            t = r
-        else:
+        w = weak_head(t, self.fuel, self.jrules)
+        if w is None:
             raise ConversionFuelExhausted(
                 f"conversion ran out of fuel ({self.fuel}) in {self.spec.name}",
-                pos, orig)
-        self.whnfs[orig] = t
-        self.whnfs[t] = t
-        return t
+                pos, t)
+        self.whnfs[t] = self.whnfs[w] = w
+        return w
 
     def conv(self, a: Term, b: Term, pos: tuple[int, ...]) -> bool:
         """Beta(-delta) convertibility, comparing weak head forms level by
-        level so shared subtrees short-circuit syntactically.  Pairs are
-        compared depth first, left before right.  At most `fuel` pairs that
-        are not syntactically equal are compared: a term whose weak head form
+        level so shared subtrees short-circuit syntactically.  Applications
+        are compared as spines: heads, then arguments first to last, depth
+        first.  At most `fuel` pairs that are not syntactically equal are
+        compared, a spine counting once: a term whose weak head form
         contains itself would otherwise yield new pairs forever."""
         todo = [(a, b)]
         budget = self.fuel
@@ -190,16 +183,14 @@ class _Checker:
                     f"{self.spec.name} without reaching a verdict", pos, a)
             budget -= 1
             wa, wb = self.whnf(a, pos), self.whnf(b, pos)
+            while type(wa) is App and type(wb) is App:
+                todo.append((wa.right, wb.right))
+                wa, wb = wa.left, wb.left
             if wa == wb:
                 continue
             ta = type(wa)
             if ta is not type(wb) or ta in (Var, Sort, PrimJ):
                 return False  # structural equality already failed
-            if ta is App:
-                # head_step found nothing on the spine, so the function
-                # parts are weak head normal too: no re-walk at each level
-                self.whnfs[wa.left] = wa.left
-                self.whnfs[wb.left] = wb.left
             todo.append((wa.right, wb.right))
             todo.append((wa.left, wb.left))
         return True

@@ -8,12 +8,12 @@ affordable in pure Python: closed subtrees are shared, never copied, and
 the one normal-order redex walk skips every subtree whose normality bit is
 set.  The walk yields redexes, not contracta: one matcher (_match_redex)
 says what is a redex, one contractor (_contract) builds every contractum,
-and step_normal_order, redex_positions, reducts, contract_at and head_step
-share both.  head_step, the weak-head step of the checker, walks the
-application spine only.  normalize, when it keeps no steps and has no
-cycle table and no J rules, resumes each search at the parent of the last
-contraction and keeps the ancestors above it stale (a zipper), so a step on
-a deep spine costs what the redex's neighbourhood costs, not its depth.
+and step_normal_order, redex_positions, reducts, contract_at and weak_head
+share both.  weak_head, the checker's weak-head reducer, keeps the spine on
+a stack, and normalize, when it keeps no steps and has no cycle table and
+no J rules, resumes each search at the parent of the last contraction and
+keeps the ancestors above it stale (a zipper): either way a step on a deep
+spine costs what the redex's neighbourhood costs, not its depth.
 
 Every node carries its hash from construction: Lam, App and Pi hash as
 hash((tag, left hash, right hash)) over their children's cached hashes, so
@@ -563,19 +563,33 @@ def _rebuild(parents: list[Term], path: list[int] | tuple[int, ...],
     return new
 
 
-def head_step(t: Term, jrules: JRules | None = None) -> Term | None:
-    """Contract the outermost redex on t's application spine, or close the
-    type arguments of a J application on it; None when t is in weak head
-    normal form."""
-    parents: list[Term] = []
-    while type(t) is App:
-        rule = _match_redex(t, jrules)
-        new = _contract(t, rule) if rule is not None else _close_j_args(t, jrules)
-        if new is not None:
-            return _rebuild(parents, (0,) * len(parents), new)
-        parents.append(t)
-        t = t.left
-    return None
+def weak_head(t: Term, fuel: int, jrules: JRules | None = None) -> Term | None:
+    """Weak head normal form of t within fuel steps (t itself if it takes
+    none), else None.  A step contracts the redex at the head of t's spine
+    or closes the type arguments of a J there (_close_j_args).  The spine's
+    nodes wait on a stack and go stale as the head reduces, so a step
+    rebuilds only its redex and the spine is rebuilt once, at the end."""
+    spine: list[Term] = []
+    head = t
+    for steps in range(fuel + 1):
+        while type(head) is App:
+            spine.append(head)
+            head = head.left
+        # a Lam head takes one argument, J three
+        k = 1 if type(head) is Lam else 3 if type(head) is PrimJ else 0
+        if not 0 < k <= len(spine):
+            break
+        redex = _rebuild(spine[-k:], (0,) * k, head)
+        rule = _match_redex(redex, jrules)
+        new = (_contract(redex, rule) if rule is not None
+               else _close_j_args(redex, jrules))
+        if new is None:
+            break
+        del spine[-k:]
+        head = new
+    else:
+        return None
+    return _rebuild(spine, (0,) * len(spine), head) if steps else t
 
 
 def _close_j_args(node: Term, jrules: JRules | None) -> Term | None:

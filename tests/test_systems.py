@@ -217,9 +217,19 @@ def test_convertible_closes_j_type_argument_by_reduction():
     assert convertible(SYSTEM_F_J, EMPTY, stuck, Lam(STAR_SORT, m)) == "distinct"
 
 
-def deep_spine(a: Term) -> Term:
-    r"""((\x:*. x) a) a ... a, 5000 applications deep."""
-    return app(App(Lam(STAR_SORT, Var(0)), a), *[a] * 4999)
+def test_whnf_fuel_counts_closing_j_arguments():
+    # J{(\x:*. Bool) y}{Bool} rho: closing the open type argument is one
+    # step and the J rule a second, so fuel 1 gives up and fuel 2 reaches rho
+    bool_ty, rho = F_DEFS["Bool"], F_DEFS["rho"]
+    t = app(tf("J"), App(Lam(STAR_SORT, bool_ty), Var(0)), bool_ty, rho)
+    with pytest.raises(ConversionFuelExhausted):
+        _Checker(SYSTEM_F_J, 1).whnf(t, ())
+    assert _Checker(SYSTEM_F_J, 2).whnf(t, ()) == rho
+
+
+def deep_spine(a: Term, n: int = 5000) -> Term:
+    r"""((\x:*. x) a) a ... a, n applications deep."""
+    return app(App(Lam(STAR_SORT, Var(0)), a), *[a] * (n - 1))
 
 
 def test_whnf_on_deep_spine():
@@ -232,23 +242,47 @@ def test_convertible_on_deep_spines():
                        deep_spine(Var(1))) == "distinct"
 
 
-def test_conv_on_deep_spines_is_linear(monkeypatch):
-    # each level's function part is known weak head normal from the level
-    # above, so the spine is walked a bounded number of times, not n times
+def test_convertible_on_spines_deeper_than_the_pair_cap():
+    # the spines differ at the head, one pair apart, though each has 2*10^4
+    # function parts, twice the default fuel's pair cap
+    assert convertible(SYSTEM_F, EMPTY, deep_spine(Var(0), 20_000),
+                       deep_spine(Var(1), 20_000)) == "distinct"
+
+
+def count_matcher_calls(monkeypatch):
+    """A list whose length is the number of term._match_redex calls made
+    after this one."""
     from ptslab import term
-    calls = 0
+    calls = []
     match = term._match_redex
 
     def counting(node, jrules):
-        nonlocal calls
-        calls += 1
+        calls.append(None)
         return match(node, jrules)
 
     monkeypatch.setattr(term, "_match_redex", counting)
+    return calls
+
+
+def test_conv_on_deep_spines_is_linear(monkeypatch):
+    # each weak head form is found once, and conv walks its spine once to
+    # pair heads and arguments, so the spine is walked a bounded number of
+    # times, not n times
+    calls = count_matcher_calls(monkeypatch)
     n = 5000
     assert convertible(SYSTEM_F, EMPTY, deep_spine(Var(0)),
                        deep_spine(Var(1))) == "distinct"
-    assert calls < 5 * n
+    assert len(calls) < 5 * n
+
+
+def test_whnf_is_linear_along_a_spine(monkeypatch):
+    # I I ... I takes n head steps; walking the spine from the root at each
+    # step would call the matcher n(n+1)/2 times
+    calls = count_matcher_calls(monkeypatch)
+    ident = Lam(STAR_SORT, Var(0))
+    n = 2000
+    assert _Checker(SYSTEM_F, 10**6).whnf(app(ident, *[ident] * n), ()) == ident
+    assert len(calls) < 2 * n
 
 
 # --- subject reduction probe -----------------------------------------------

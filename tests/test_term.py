@@ -4,13 +4,14 @@ import tracemalloc
 from array import array
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ptslab.term as term_module
-from ptslab.term import (App, CycleDetected, FuelExhausted, JRules, Lam,
+from ptslab.term import (App, CycleDetected, FuelExhausted, J, JRules, Lam,
                          NormalForm, Pi, PrimJ, ReductionTrace, Sort, STAR_SORT,
-                         Step, Term, Var, app, contract_at, head_step,
-                         normal_form_of, normalize, redex_positions, reducts,
-                         shift, step_normal_order, substitute)
+                         Step, Term, Var, app, contract_at, normal_form_of,
+                         normalize, redex_positions, reducts, shift,
+                         step_normal_order, substitute, weak_head)
 from ptslab.syntax import parse_term
 from ptslab.encodings import definitions
 from ptslab.corpus import random_wellscoped, welltyped_corpus
@@ -428,7 +429,9 @@ def test_every_kind_of_reduct_hashes_as_built():
     for t, _ in welltyped_corpus(80, seed=21, max_nodes=60):
         built += reducts(t)
         built += [contract_at(t, p) for p in redex_positions(t)]
-        built += [head_step(t) or t, shift(t, 2)]
+        w = weak_head(t, 200)
+        assert w is not None
+        built += [w, shift(t, 2)]
         if type(t) is Lam:
             built.append(substitute(t.right, T("Bool -> Bool")))
     assert len(built) > 300
@@ -436,7 +439,10 @@ def test_every_kind_of_reduct_hashes_as_built():
     fj = definitions("f+j")
     loop = App(App(fj["K"], fj["rho"]), fj["K"])
     jrules = JRules()
-    assert_hashed_as_built([head_step(loop, jrules),
+    # the loop diverges in weak head; K rho reaches Delta by a J-eq step
+    delta = weak_head(App(fj["K"], fj["rho"]), 10, jrules)
+    assert delta == fj["Delta"]
+    assert_hashed_as_built([delta,
                             *(contract_at(loop, p, jrules)
                               for p in redex_positions(loop, jrules))])
 
@@ -817,6 +823,84 @@ def test_cycle_table_memory_is_bounded():
         tracemalloc.stop()
     assert type(tr.outcome) is FuelExhausted
     assert peak <= 2**20
+
+
+# --- weak head machine: same as the spine walk from the root --------------
+
+def reference_whnf(t, fuel, jrules=None):
+    """The weak head normalisation that weak_head replaced: each step walks
+    the spine from the root, contracts or closes at the outermost node that
+    admits it, and rebuilds the spine; fuel steps, then one more to tell a
+    weak head normal form from exhaustion (None)."""
+    for _ in range(fuel + 1):
+        parents, node = [], t
+        while type(node) is App:
+            rule = term_module._match_redex(node, jrules)
+            new = (term_module._contract(node, rule) if rule is not None
+                   else term_module._close_j_args(node, jrules))
+            if new is not None:
+                break
+            parents.append(node)
+            node = node.left
+        else:
+            return t
+        t = term_module._rebuild(parents, (0,) * len(parents), new)
+    return None
+
+
+FJ = definitions("f+j")
+
+
+def assert_weak_head_matches_reference(t):
+    for jrules in (None, JRules(50)):
+        for fuel in (0, 1, 2, 3, 200):
+            assert weak_head(t, fuel, jrules) == reference_whnf(t, fuel, jrules)
+
+
+def _closing(ty, i):
+    r"""(\x:*. ty) #i: an open type argument that one beta step closes."""
+    return App(Lam(STAR_SORT, ty), Var(i))
+
+
+# I, K and self-application
+_LAMS = [IDENT, Lam(STAR_SORT, Lam(STAR_SORT, Var(1))),
+         Lam(STAR_SORT, App(Var(0), Var(0)))]
+_TYPES = st.sampled_from([FJ["Bool"], FJ["rho"], STAR_SORT, Var(0), Var(1),
+                          _closing(FJ["Bool"], 0), _closing(FJ["rho"], 1),
+                          App(IDENT, FJ["Bool"])])
+_LEAVES = _TYPES | st.sampled_from([J, FJ["K"], FJ["ID"], FJ["Delta"], *_LAMS])
+
+
+def _spines(args):
+    """Applications of a Lam, J, K or variable head to args, and J spines
+    whose type arguments may be open, closed, or closed by reduction."""
+    heads = (st.sampled_from([*_LAMS, J, FJ["K"], Var(0), Var(1)])
+             | st.builds(Lam, _TYPES, args))
+    return (st.builds(lambda h, xs: app(h, *xs), heads,
+                      st.lists(args, max_size=5))
+            | st.builds(lambda s, t, xs: app(J, s, t, *xs), _TYPES, _TYPES,
+                        st.lists(args, min_size=1, max_size=3)))
+
+
+@settings(max_examples=300)
+@given(st.recursive(_LEAVES, _spines, max_leaves=16))
+def test_weak_head_matches_reference_on_generated_spines(t):
+    assert_weak_head_matches_reference(t)
+
+
+def test_weak_head_matches_reference_on_hurkens_reducts():
+    for s in normalize(build_hurkens(), 300).steps:
+        assert_weak_head_matches_reference(s.before)
+
+
+def test_weak_head_matches_reference_on_j_terms():
+    # the J loop, which diverges in weak head, and a J that closes its type
+    # argument by reduction, alone and applied
+    loop = App(App(FJ["K"], FJ["rho"]), FJ["K"])
+    closing = app(J, _closing(FJ["Bool"], 0), FJ["Bool"], FJ["rho"])
+    for t in (loop, closing, App(closing, Var(1))):
+        assert_weak_head_matches_reference(t)
+    assert weak_head(loop, 200, JRules()) is None
 
 
 def test_trace_chains():
