@@ -95,7 +95,7 @@ def cmd_check(args) -> int:
         try:
             if type(item) is Definition:
                 j = infer(spec, EMPTY, item.term)
-                defs[item.name] = (item.term, j.type)
+                defs[item.name] = item.term
                 results.append({"name": item.name, "type": show(j.type)})
             else:
                 if item.name not in defs:
@@ -104,7 +104,7 @@ def cmd_check(args) -> int:
                                              detail, ()),
                           f"error: {detail}", sys.stderr)
                     return 1
-                check(spec, EMPTY, defs[item.name][0], item.type)
+                check(spec, EMPTY, defs[item.name], item.type)
                 results.append({"name": item.name, "checked": True,
                                 "type": show(item.type)})
         except TypingError as exc:

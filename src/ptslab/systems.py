@@ -1,12 +1,12 @@
 """PTS instances and the type checker.
 
-A system is a triple (sorts, axioms, rules).  The same checker serves the
-simply typed calculus, System F, System U minus and the Type:Type calculus;
-only the triple changes.  There is one conversion algorithm, the checker's:
-it compares weak head normal forms (term.weak_head) level by level.  The
-fuel budget bounds both each weak head normalisation and the number of pairs
-one comparison visits, so checking in the Type:Type system can honestly
-report that it gave up instead of hanging.  `convertible` returns its verdict.
+A system is a triple (sorts, axioms, rules); one checker serves the simply
+typed calculus, System F, System U minus and Type:Type, only the triple
+changes.  It infers types (`check` adds a conversion) by one sort judgement
+and one product rule, which types a Pi and, through its Pi, a lambda.  The
+one conversion algorithm compares weak head normal forms (term.weak_head)
+level by level.  Fuel bounds each weak head normalisation and the pairs a
+comparison visits, so in Type:Type the checker gives up instead of hanging.
 """
 from __future__ import annotations
 
@@ -152,7 +152,10 @@ class _Checker:
         self.whnfs: dict[Term, Term] = {}
 
     def whnf(self, t: Term, pos: tuple[int, ...]) -> Term:
-        """Weak head normal form, fuel bounded."""
+        """Weak head normal form, fuel bounded.  Only applications reduce
+        (weak_head never rewrites anything else), so only they are cached."""
+        if type(t) is not App:
+            return t
         cached = self.whnfs.get(t)
         if cached is not None:
             return cached
@@ -195,11 +198,6 @@ class _Checker:
             todo.append((wa.left, wb.left))
         return True
 
-    def sort_of_type(self, ty: Term, pos: tuple[int, ...]) -> str | None:
-        """ty is an inferred type; name of the sort it reduces to, if any."""
-        w = ty if type(ty) is Sort else self.whnf(ty, pos)
-        return w.name if type(w) is Sort else None
-
     def infer(self, env: tuple[Term, ...], t: Term, pos: tuple[int, ...]) -> Term:
         # only the part of the context that t can see matters for its type
         key = (t, env[:t.fvb])
@@ -209,6 +207,14 @@ class _Checker:
         ty = self._infer(env, t, pos)
         self.types[key] = ty
         return ty
+
+    def sort(self, env: tuple[Term, ...], t: Term, pos: tuple[int, ...],
+             what: str) -> str:
+        """Name of the sort t's type reduces to; NoRule if t is no type."""
+        w = self.whnf(self.infer(env, t, pos), pos)
+        if type(w) is not Sort:
+            raise NoRule(f"{what} is not a type", pos, t)
+        return w.name
 
     def _infer(self, env: tuple[Term, ...], t: Term, pos: tuple[int, ...]) -> Term:
         # env[0] is the innermost binder's domain, at its binding depth
@@ -228,34 +234,20 @@ class _Checker:
                 raise JNotEnabled(f"J is not a constant of {self.spec.name}",
                                   pos, t)
             return J_TYPE
-        if tt is Pi:
-            s1 = self.sort_of_type(self.infer(env, t.left, pos + (0,)), pos + (0,))
-            if s1 is None:
-                raise NoRule("Pi domain is not a type", pos + (0,), t.left)
-            s2 = self.sort_of_type(
-                self.infer((t.left,) + env, t.right, pos + (1,)), pos + (1,))
-            if s2 is None:
-                raise NoRule("Pi codomain is not a type", pos + (1,), t.right)
+        if tt is Pi or tt is Lam:
+            # product rule for Pi x:A. B, and for \x:A. b with B the type of b
+            s1 = self.sort(env, t.left, pos + (0,),
+                           "Pi domain" if tt is Pi else "binder annotation")
+            inner = (t.left,) + env
+            cod = t.right if tt is Pi else self.infer(inner, t.right, pos + (1,))
+            s2 = self.sort(inner, cod, pos + (1,), "Pi codomain")
             s3 = self.spec.rule(s1, s2)
             if s3 is None:
                 raise NoRule(
                     f"no rule ({s1},{s2},_) in {self.spec.name}", pos, t)
-            return Sort(s3)
-        if tt is Lam:
-            s1 = self.sort_of_type(self.infer(env, t.left, pos + (0,)), pos + (0,))
-            if s1 is None:
-                raise NoRule("binder annotation is not a type", pos + (0,), t.left)
-            body_ty = self.infer((t.left,) + env, t.right, pos + (1,))
-            pi = Pi(t.left, body_ty)
-            s2 = self.sort_of_type(
-                self.infer((t.left,) + env, body_ty, pos + (1,)), pos + (1,))
-            if s2 is None or self.spec.rule(s1, s2) is None:
-                raise NoRule(
-                    f"no rule ({s1},{s2},_) in {self.spec.name}", pos, t)
-            return pi
+            return Sort(s3) if tt is Pi else Pi(t.left, cod)
         if tt is App:
-            fun_ty = self.infer(env, t.left, pos + (0,))
-            w = fun_ty if type(fun_ty) is Pi else self.whnf(fun_ty, pos + (0,))
+            w = self.whnf(self.infer(env, t.left, pos + (0,)), pos + (0,))
             if type(w) is not Pi:
                 raise NotAFunction("application of a non-function", pos, t.left)
             arg_ty = self.infer(env, t.right, pos + (1,))

@@ -581,6 +581,8 @@ def weak_head(t: Term, fuel: int, jrules: JRules | None = None) -> Term | None:
             break
         redex = _rebuild(spine[-k:], (0,) * k, head)
         rule = _match_redex(redex, jrules)
+        if rule is not None and steps == fuel:
+            return None  # a contraction past the fuel: build none
         new = (_contract(redex, rule) if rule is not None
                else _close_j_args(redex, jrules))
         if new is None:

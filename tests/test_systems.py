@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -11,7 +12,8 @@ from ptslab.systems import (ArgumentTypeMismatch, ConversionFuelExhausted,
                             SYSTEM_F_J, SYSTEMS, TypeMismatch, TypingError,
                             UnboundVariable, _Checker, check, convertible,
                             infer, subject_reduction_probe)
-from ptslab.syntax import parse_term
+from ptslab.corpus import random_wellscoped, welltyped_corpus
+from ptslab.syntax import parse_term, pretty
 from ptslab.encodings import definitions, registry
 
 
@@ -186,6 +188,18 @@ def test_whnf_fuel_counts_contractions():
         _Checker(SYSTEM_F, 0).whnf(redex, ())
 
 
+def test_whnf_returns_non_applications_at_once():
+    # weak_head never rewrites a term that is not an application, so whnf
+    # returns it as it is and caches nothing; an application is cached
+    ck = _Checker(SYSTEM_F)
+    for t in (F_DEFS["Bool"], STAR_SORT, Var(3)):
+        assert ck.whnf(t, ()) is t
+    assert ck.whnfs == {}
+    redex = App(Lam(STAR_SORT, Var(0)), F_DEFS["Bool"])
+    assert ck.whnf(redex, ()) == F_DEFS["Bool"]
+    assert ck.whnfs[redex] == F_DEFS["Bool"]
+
+
 def test_convertible_distinct_heads_under_divergent_argument():
     # x omega and y omega differ at the head; weak head comparison never
     # normalises the argument, so no fuel is spent on it
@@ -348,3 +362,24 @@ def test_recheck_idempotence():
     for e in list(registry())[:12]:
         j = infer(SYSTEMS[e.system], EMPTY, e.term)
         assert infer(SYSTEMS[e.system], EMPTY, j.subject).type == j.type
+
+
+# --- outcomes pinned -------------------------------------------------------
+
+def _outcome(spec, t):
+    try:
+        return pretty(infer(spec, EMPTY, t, fuel=2000).type)
+    except TypingError as exc:
+        return f"{type(exc).__name__} {exc.position} {exc}"
+
+
+def test_checker_outcomes_are_pinned():
+    # each term's inferred type or error (class, position, message) in all
+    # five systems, pinned so that a rewrite of the checker must decide
+    # exactly as before; most random terms are ill-typed somewhere
+    rng = random.Random(7)
+    terms = [random_wellscoped(rng, rng.randint(3, 25)) for _ in range(1000)]
+    terms += [t for t, _ in welltyped_corpus(300, seed=7)]
+    rows = [_outcome(spec, t) for t in terms for spec in SYSTEMS.values()]
+    assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == (
+        "7dcbdaee222c0a9dc036ef2cece7600e994b4211ff6a7cdcc036bb08606f7014")

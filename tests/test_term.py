@@ -903,6 +903,21 @@ def test_weak_head_matches_reference_on_j_terms():
     assert weak_head(loop, 200, JRules()) is None
 
 
+def test_weak_head_builds_no_contraction_past_its_fuel(monkeypatch):
+    # I I ... I (ten arguments) needs ten steps: fuel 3 contracts three
+    # redexes and finds a fourth, which it reports as exhaustion unbuilt
+    calls = []
+    real = term_module.substitute
+
+    def counting(body, arg):
+        calls.append(body)
+        return real(body, arg)
+
+    monkeypatch.setattr(term_module, "substitute", counting)
+    assert weak_head(app(IDENT, *[IDENT] * 10), 3) is None
+    assert len(calls) == 3
+
+
 def test_trace_chains():
     t = T("ID {Bool} (ID {rho})")
     tr = normalize(t)
