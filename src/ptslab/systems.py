@@ -6,7 +6,8 @@ changes.  It infers types (`check` adds a conversion) by one sort judgement
 and one product rule, which types a Pi and, through its Pi, a lambda.  The
 one conversion algorithm compares weak head normal forms (term.weak_head)
 level by level.  Fuel bounds each weak head normalisation and the pairs a
-comparison visits, so in Type:Type the checker gives up instead of hanging.
+comparison visits, so in Type:Type the checker gives up instead of hanging;
+a negative fuel raises ValueError.
 """
 from __future__ import annotations
 
@@ -145,6 +146,8 @@ class _Checker:
     the shared subtrees that reduction sequences produce."""
 
     def __init__(self, spec: SystemSpec, fuel: int = DEFAULT_FUEL):
+        if fuel < 0:
+            raise ValueError("fuel must be >= 0")
         self.spec = spec
         self.fuel = fuel
         self.jrules = JRules(fuel) if spec.with_j else None

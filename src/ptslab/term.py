@@ -1,19 +1,22 @@
 """Shared term language: de Bruijn terms, substitution, beta/delta reduction.
 
-Terms are immutable; structural equality on the de Bruijn representation is
-alpha-equivalence.  Every node caches an upper bound on its free indices
-(``fvb``), a normality bitmask and its hash, which is what makes long
-reduction runs (the paradox demos burn through 10^6 contractions)
-affordable in pure Python: closed subtrees are shared, never copied, and
-the one normal-order redex walk skips every subtree whose normality bit is
-set.  The walk yields redexes, not contracta: one matcher (_match_redex)
-says what is a redex, one contractor (_contract) builds every contractum,
-and step_normal_order, redex_positions, reducts, contract_at and weak_head
-share both.  weak_head, the checker's weak-head reducer, keeps the spine on
-a stack, and normalize, when it keeps no steps and has no cycle table and
-no J rules, resumes each search at the parent of the last contraction and
-keeps the ancestors above it stale (a zipper): either way a step on a deep
-spine costs what the redex's neighbourhood costs, not its depth.
+Terms are immutable values: structural equality on the de Bruijn
+representation is alpha-equivalence, and every node fixes at construction an
+upper bound on its free indices (``fvb``), its normality flag (``nf``) and
+its hash.  ``t.nf`` is true iff no node of t is a beta redex or an
+application of J: exact normality for J-free terms, conservative under J
+rules.  That is what makes long reduction runs (the paradox demos burn
+through 10^6 contractions) affordable in pure Python: closed subtrees are
+shared, never copied, and the one normal-order redex walk, which writes
+nothing, skips every subtree flagged normal.  The walk yields redexes, not
+contracta: one matcher (_match_redex) says what is a redex, one contractor
+(_contract) builds every contractum, and step_normal_order, redex_positions,
+reducts, contract_at and weak_head share both.  weak_head, the checker's
+weak-head reducer, keeps the spine on a stack, and normalize, when it keeps
+no steps and has no cycle table and no J rules, resumes each search at the
+parent of the last contraction and keeps the ancestors above it stale (a
+zipper): either way a step on a deep spine costs what the redex's
+neighbourhood costs, not its depth.
 
 Every node carries its hash from construction: Lam, App and Pi hash as
 hash((tag, left hash, right hash)) over their children's cached hashes, so
@@ -33,9 +36,6 @@ from dataclasses import dataclass
 STAR = "*"
 BOX = "BOX"
 TRIANGLE = "TRI"
-
-_NF_BETA = 1      # no beta redex in the subtree
-_NF_BETAJ = 2     # additionally no J delta redex
 
 DEFAULT_FUEL = 10_000
 
@@ -105,7 +105,7 @@ class Var(Term):
             raise ValueError("negative de Bruijn index")
         self.index = index
         self.fvb = index + 1
-        self.nf = _NF_BETA | _NF_BETAJ
+        self.nf = True
         self._hash = hash((0x56A1, index))
 
 
@@ -115,7 +115,7 @@ class Sort(Term):
     def __init__(self, name: str):
         self.name = name
         self.fvb = 0
-        self.nf = _NF_BETA | _NF_BETAJ
+        self.nf = True
         self._hash = hash((0x50B2, name))
 
 
@@ -125,7 +125,7 @@ class PrimJ(Term):
 
     def __init__(self):
         self.fvb = 0
-        self.nf = _NF_BETA | _NF_BETAJ
+        self.nf = True
         self._hash = hash((0x4A00,))
 
 
@@ -137,7 +137,7 @@ class Lam(Term):
         self.right = body
         a, b = domain.fvb, body.fvb - 1
         self.fvb = a if a > b else b
-        self.nf = 0
+        self.nf = domain.nf and body.nf
         self._hash = hash((0x4C33, domain._hash, body._hash))
 
 
@@ -149,7 +149,8 @@ class App(Term):
         self.right = arg
         a, b = fun.fvb, arg.fvb
         self.fvb = a if a > b else b
-        self.nf = 0
+        tf = type(fun)
+        self.nf = tf is not Lam and tf is not PrimJ and fun.nf and arg.nf
         self._hash = hash((0x4155, fun._hash, arg._hash))
 
 
@@ -161,7 +162,7 @@ class Pi(Term):
         self.right = codomain
         a, b = domain.fvb, codomain.fvb - 1
         self.fvb = a if a > b else b
-        self.nf = 0
+        self.nf = domain.nf and codomain.nf
         self._hash = hash((0x5044, domain._hash, codomain._hash))
 
 
@@ -246,6 +247,10 @@ class JRules:
     normalization, J{s}{t} M -> \\x:t. x when closed and distinct."""
     type_fuel: int = DEFAULT_FUEL
 
+    def __post_init__(self):
+        if self.type_fuel < 0:
+            raise ValueError("fuel must be >= 0")
+
 
 RULE_BETA = "beta"
 RULE_J_EQ = "deltaJ-eq"
@@ -288,33 +293,30 @@ def _redexes(t: Term, jrules: JRules | None):
     """Yield (parents, path, node, rule) for each redex node of t in
     preorder (a node, then its left subtree, then its right), which on
     applications is normal order and on positions lexicographic order.
-    Nothing is contracted: the caller builds what it needs with _contract.
+    Nothing is contracted, and nothing written: the caller builds what it
+    needs with _contract.
 
     parents and path are the walk's live lists: parents[i] is the node at
-    depth i and path[i] the child taken from it.  Subtrees whose normality
-    bit is set are skipped; until the first yield, each subtree left behind
-    gets that bit, since no redex was found in it.
+    depth i and path[i] the child taken from it.  Subtrees flagged normal
+    (nf) are skipped; they hold no beta redex and no application of J, so
+    no redex under any rules.
     """
-    want = _NF_BETAJ if jrules is not None else _NF_BETA
-    mark = (_NF_BETA | _NF_BETAJ) if jrules is not None else _NF_BETA
     parents: list[Term] = []
     path: list[int] = []
     down, turn = parents.append, path.append
     node = t
     while True:
-        if not node.nf & want:
-            # leaves carry both bits, so node has children; the beta test and
+        if not node.nf:
+            # leaves are flagged, so node has children; the beta test and
             # _j_args's head test are inline: _match_redex sees only J heads
             if type(node) is App:
                 f = node.left
                 if type(f) is Lam:
-                    mark = 0    # node and its ancestors are not normal
                     yield parents, path, node, RULE_BETA
                 elif (jrules is not None and type(f) is App
                       and type(f.left) is App and type(f.left.left) is PrimJ):
                     rule = _match_redex(node, jrules)
                     if rule is not None:
-                        mark = 0
                         yield parents, path, node, rule
             down(node)
             turn(0)
@@ -326,7 +328,7 @@ def _redexes(t: Term, jrules: JRules | None):
                 node = parents[-1].right
                 break
             path.pop()
-            parents.pop().nf |= mark
+            parents.pop()
         else:
             return
 
@@ -389,16 +391,16 @@ def normalize(t: Term, fuel: int = DEFAULT_FUEL, detect_cycles: bool = False,
     focus in preorder is then normal or an ancestor that is not a redex, so
     the focus holds the next leftmost-outermost redex unless it is normal.
     A normal focus climbs one level and is searched again; the walk skips
-    the child just marked normal, and that search is the only extra
-    step_normal_order call (it returns None where the search from the root
-    would have found the redex after the focus).  The ancestors above the
-    focus are stale: two lists keep the nodes and the directions taken, a
-    climb rebuilds one of them, and the whole path is rebuilt only for
-    NormalForm.term and FuelExhausted.last.  On a spine that makes search
-    and rebuild O(1) per step instead of O(depth).  Each stale ancestor
-    keeps alive the version of the subterm below it from when the focus
-    passed it: at most one outdated copy per level, sharing every subtree
-    that no step since has rebuilt.
+    the child just found normal, flagged so when J-free, and that search is
+    the only extra step_normal_order call (it returns None where the search
+    from the root would have found the redex after the focus).  The
+    ancestors above the focus are stale: two lists keep the nodes and the
+    directions taken, a climb rebuilds one of them, and the whole path is
+    rebuilt only for NormalForm.term and FuelExhausted.last.  On a spine
+    that makes search and rebuild O(1) per step instead of O(depth).  Each
+    stale ancestor keeps alive the version of the subterm below it from when
+    the focus passed it: at most one outdated copy per level, sharing every
+    subtree that no step since has rebuilt.
 
     The other runs keep the whole term as the focus: a run that records or
     hashes every reduct builds the whole reduct anyway, and a J rule can
@@ -569,6 +571,8 @@ def weak_head(t: Term, fuel: int, jrules: JRules | None = None) -> Term | None:
     or closes the type arguments of a J there (_close_j_args).  The spine's
     nodes wait on a stack and go stale as the head reduces, so a step
     rebuilds only its redex and the spine is rebuilt once, at the end."""
+    if fuel < 0:
+        raise ValueError("fuel must be >= 0")
     spine: list[Term] = []
     head = t
     for steps in range(fuel + 1):

@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from ptslab.term import (App, Lam, Pi, Sort, STAR_SORT, Term, Var, app,
-                         normalize, NormalForm, substitute)
+from ptslab.term import (App, JRules, Lam, Pi, Sort, STAR_SORT, Term, Var,
+                         app, normalize, NormalForm, substitute, weak_head)
 from ptslab.systems import (ArgumentTypeMismatch, ConversionFuelExhausted,
                             Context, EMPTY, JNotEnabled,
                             J_TYPE, LAMBDA_ARROW, LAMBDA_STAR, LAMBDA_U_MINUS,
@@ -261,6 +261,30 @@ def test_convertible_on_spines_deeper_than_the_pair_cap():
     # function parts, twice the default fuel's pair cap
     assert convertible(SYSTEM_F, EMPTY, deep_spine(Var(0), 20_000),
                        deep_spine(Var(1), 20_000)) == "distinct"
+
+
+_IDENT = Lam(STAR_SORT, Var(0))
+
+# every entry point that takes a fuel, called with fuel -1
+_NEGATIVE_FUEL = {
+    "normalize": lambda: normalize(App(_IDENT, _IDENT), -1),
+    "weak_head": lambda: weak_head(App(_IDENT, _IDENT), -1),
+    "JRules": lambda: JRules(-1),
+    "_Checker": lambda: _Checker(SYSTEM_F, -1),
+    "infer": lambda: infer(SYSTEM_F, EMPTY, _IDENT, fuel=-1),
+    "check": lambda: check(SYSTEM_F, EMPTY, _IDENT, Pi(STAR_SORT, STAR_SORT),
+                           fuel=-1),
+    "convertible": lambda: convertible(SYSTEM_F, EMPTY, Var(0), Var(1),
+                                       fuel=-1),
+    "subject_reduction_probe": lambda: subject_reduction_probe(
+        SYSTEM_F_J, EMPTY, _IDENT, 3, fuel=-1),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_NEGATIVE_FUEL))
+def test_negative_fuel_is_rejected(entry):
+    with pytest.raises(ValueError, match="fuel must be >= 0"):
+        _NEGATIVE_FUEL[entry]()
 
 
 def count_matcher_calls(monkeypatch):

@@ -17,6 +17,7 @@ from ptslab.encodings import definitions
 from ptslab.corpus import random_wellscoped, welltyped_corpus
 from ptslab.paradox import build_hurkens
 from ptslab.codes import build_flat_machinery, church
+from reference import has_no_redex_or_j
 
 
 DEFS = definitions("f")
@@ -179,16 +180,13 @@ _NODES = (Lam, App, Pi)
 
 def reference_step(t, jrules=None):
     """The frame-list search that step_normal_order replaced, with its
-    inline rebuild and its normality marking."""
-    beta, betaj = term_module._NF_BETA, term_module._NF_BETAJ
-    want = betaj if jrules is not None else beta
-    mark = (beta | betaj) if jrules is not None else beta
+    inline rebuild; it skips subtrees flagged normal and writes nothing."""
     frames = [[t, -1]]
     while frames:
         f = frames[-1]
         node = f[0]
         if f[1] == -1:
-            if node.nf & want:
+            if node.nf:
                 frames.pop()
                 continue
             rule = term_module._match_redex(node, jrules)
@@ -208,14 +206,13 @@ def reference_step(t, jrules=None):
             f[1] += 1
             frames.append([ch[f[1] - 1], -1])
         else:
-            node.nf |= mark
             frames.pop()
     return None
 
 
 def reference_positions(t, jrules=None):
     """The walk that redex_positions replaced: every node, whatever its
-    normality bits, then sorted."""
+    normality flag, then sorted."""
     out = []
     stack = [(t, ())]
     while stack:
@@ -229,8 +226,9 @@ def reference_positions(t, jrules=None):
 
 
 def unmarked_copy(t, memo=None):
-    """t rebuilt with no normality bits set; shared subtrees stay shared,
-    and leaves, which always carry both bits, are reused."""
+    """t rebuilt by the constructors; shared subtrees stay shared and
+    leaves are reused.  Normality is fixed at construction, so the copy
+    carries the same exact flags as t."""
     if type(t) not in _NODES:
         return t
     memo = {} if memo is None else memo
@@ -241,7 +239,8 @@ def unmarked_copy(t, memo=None):
 
 
 def nf_bits(t):
-    """The normality bits of t's distinct nodes, in preorder."""
+    """The normality flags of t's distinct nodes, in preorder; a walk
+    writes none, so a term and its copies give the same list."""
     out, seen, stack = [], set(), [t]
     while stack:
         n = stack.pop()
@@ -254,9 +253,9 @@ def nf_bits(t):
 
 
 def assert_walk_matches_reference(t, jrules=None):
-    """Compare one step, the normality marks it leaves, every redex
-    position and their contractions with the reference walks; t may carry
-    marks from earlier work.  Returns the reduct, or None."""
+    """Compare one step, the normality flags after it (the walks write
+    none), every redex position and their contractions with the reference
+    walks; t may have been walked before.  Returns the reduct, or None."""
     a, b = unmarked_copy(t), unmarked_copy(t)
     want = reference_step(a, jrules)
     got = step_normal_order(b, jrules)
@@ -307,8 +306,9 @@ def test_walk_matches_reference_on_hurkens_prefix():
 
 
 def test_walk_matches_reference_after_normalize():
-    # normalize leaves normality bits on the subterms it scanned; the walk
-    # skips them, the reference walk of positions does not
+    # normalize leaves no marks on the subterms it scanned (normality is
+    # fixed when a node is built); walking t again after it must give the
+    # same answers, and the reference walk of positions skips nothing
     for t, _ in welltyped_corpus(100, seed=14, max_nodes=60):
         normalize(t, 3, keep_steps=False)
         assert_walk_matches_reference(t)
@@ -347,13 +347,80 @@ def test_reducts_are_the_contractions_at_redex_positions():
     assert branching > 20
 
 
+# --- normality fixed at construction: the walks read, never write ---------
+
+def distinct_nodes(*terms):
+    """Every distinct node (by identity) of the given terms."""
+    seen, stack = {}, list(terms)
+    while stack:
+        n = stack.pop()
+        if id(n) not in seen:
+            seen[id(n)] = n
+            if type(n) in _NODES:
+                stack += (n.left, n.right)
+    return list(seen.values())
+
+
+def _walked_terms():
+    """(term, jrules) pairs for the invariant tests: the Hurkens prefix,
+    flat(#2), the J loop with and without J rules (without them its
+    reduct's J applications are normal but unflagged) and 50 corpus
+    terms."""
+    fm, fj = build_flat_machinery(), definitions("f+j")
+    yield build_hurkens(), None
+    yield App(fm.flat, church(2)), None
+    loop = App(App(fj["K"], fj["rho"]), fj["K"])
+    yield loop, JRules()
+    yield loop, None
+    for t, _ in welltyped_corpus(50, seed=23, max_nodes=60):
+        yield t, None
+
+
+def _walk_everything(t, jrules):
+    """Run every redex walk on t; return the terms they built."""
+    redex_positions(t, jrules)
+    built = list(reducts(t))
+    r = step_normal_order(t, jrules)
+    if r is not None:
+        built.append(r[0])
+    for tr in (normalize(t, 300, keep_steps=False, jrules=jrules),
+               normalize(t, 300, detect_cycles=True, jrules=jrules)):
+        o = tr.outcome
+        built.append(o.term if type(o) is NormalForm
+                     else o.last if type(o) is FuelExhausted else o.witness)
+    return built
+
+
+def test_walks_write_nothing():
+    for t, jrules in _walked_terms():
+        nodes = distinct_nodes(t)
+        before = [(n.nf, n.fvb, n._hash) for n in nodes]
+        _walk_everything(t, jrules)
+        assert [(n.nf, n.fvb, n._hash) for n in nodes] == before
+
+
+def test_normality_flag_matches_reference():
+    terms = []
+    for t, jrules in _walked_terms():
+        terms += [t, *_walk_everything(t, jrules)]
+    rng = random.Random(24)
+    terms += [random_wellscoped(rng, 25) for _ in range(300)]
+    memo = {}
+    nodes = distinct_nodes(*terms)
+    assert len(nodes) > 10_000
+    assert sum(n.nf for n in nodes) and not all(n.nf for n in nodes)
+    for n in nodes:
+        assert n.nf == has_no_redex_or_j(n, memo)
+
+
 # --- hashed on construction: every reduct hashes and compares as built -----
 
 def constructor_copies(terms):
     """Rebuild each term from scratch by the constructors, leaves included,
     so that no copy shares a node with the originals, and check as each
-    node is copied that it carries its copy's hash.  Each physical node is
-    copied once, however many terms share it.  Yields (term, copy)."""
+    node is copied that it carries its copy's hash and normality flag.
+    Each physical node is copied once, however many terms share it.
+    Yields (term, copy)."""
     memo = {}   # id(node) -> (node, copy); holding node keeps its id unique
     for t in terms:
         stack = [t]
@@ -376,14 +443,16 @@ def constructor_copies(terms):
                     continue
                 copy = tn(memo[id(node.left)][1], memo[id(node.right)][1])
             assert node._hash == copy._hash
+            assert node.nf == copy.nf
             memo[id(node)] = (node, copy)
             stack.pop()
         yield t, memo[id(t)][1]
 
 
 def assert_hashed_as_built(terms, compare=True):
-    """Every node of every term hashes as its constructor-built copy, and,
-    if compare, each term equals its copy both ways; returns how many terms."""
+    """Every node of every term hashes and is flagged normal as its
+    constructor-built copy, and, if compare, each term equals its copy
+    both ways; returns how many terms."""
     n = 0
     for t, copy in constructor_copies(terms):
         assert hash(t) == hash(copy)
