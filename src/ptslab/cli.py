@@ -136,25 +136,27 @@ def cmd_normalize(args) -> int:
     jrules = JRules() if spec.with_j else None
     tr = normalize(t, fuel, detect_cycles=args.cycles, jrules=jrules,
                    keep_steps=args.trace)
+    trace = [{"position": list(s.position), "rule": s.rule,
+              "term": show(s.after)} for s in tr.steps]
     if args.trace and not args.json:
-        for i, s in enumerate(tr.steps):
-            print(f"{i:4d} {s.rule:10s} at {list(s.position)}: "
-                  f"{show(s.after)}")
+        for i, s in enumerate(trace):
+            print(f"{i:4d} {s['rule']:10s} at {s['position']}: {s['term']}")
+    extra = {"trace": trace} if args.trace else {}
     out = tr.outcome
     if type(out) is NormalForm:
         _emit(args, {"command": "normalize", "outcome": "normal-form",
                      "steps": tr.step_count, "type": None,
-                     "term": show(out.term)},
+                     "term": show(out.term), **extra},
               show(out.term))
         return 0
     if type(out) is CycleDetected:
         _emit(args, {"command": "normalize", "outcome": "cycle",
                      "steps": tr.step_count, "period": out.period,
-                     "type": None, "term": show(out.witness)},
+                     "type": None, "term": show(out.witness), **extra},
               f"cycle of period {out.period}: {show(out.witness)}")
         return 1
     _emit(args, {"command": "normalize", "outcome": "fuel-exhausted",
-                 "steps": tr.step_count, "type": None},
+                 "steps": tr.step_count, "type": None, **extra},
           f"no normal form within {out.fuel} steps")
     return 1
 
@@ -188,7 +190,8 @@ def cmd_registry(args) -> int:
 
 def cmd_demo(args) -> int:
     if args.what == "loop":
-        rep = px.build_loop(_fuel(args.fuel, FUEL_LOOP))
+        fuel = _fuel(args.fuel, FUEL_LOOP)
+        rep = px.build_loop(fuel)
         show = _printer(SYSTEMS["f+j"])
         ok = (type(rep.trace.outcome) is CycleDetected
               and rep.trace.outcome.witness == rep.start
@@ -196,7 +199,9 @@ def cmd_demo(args) -> int:
         lines = [f"start: {show(rep.start)}"]
         for s in rep.trace.steps[:rep.period]:
             lines.append(f"  --{s.rule}--> {show(s.after)}")
-        lines.append(f"cycle period {rep.period} (raw contractions)")
+        lines.append(f"cycle period {rep.period} (raw contractions)"
+                     if type(rep.trace.outcome) is CycleDetected
+                     else f"no cycle within {fuel} steps")
         _emit(args, {"command": "demo", "outcome":
                      "cycle" if ok else "unexpected", "steps": rep.period,
                      "type": "rho", "term": show(rep.start)},

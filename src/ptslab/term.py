@@ -422,13 +422,12 @@ def normalize(t: Term, fuel: int = DEFAULT_FUEL, detect_cycles: bool = False,
     slots; the cap bounds that cost: ``ptslab demo hurkens`` peaks at 33 MB
     at 10^6 steps, as with two-fold growth, and at 41 MB without the cap.
     A hit is confirmed by structural equality against the earlier term,
-    read from the kept steps, or else recomputed by replaying ``first``
-    steps from t (the reducer is deterministic): at most ``first`` extra
-    steps, and only on a hash hit.  A hit that fails confirmation is a
-    hash collision; its count joins a side list for that hash, which later
-    hits on the hash also check (replaying up to its last count), and
-    reduction goes on, so the outcome is the one a table of whole terms
-    would give.
+    recomputed by replaying ``first`` steps from t (the reducer is
+    deterministic): at most ``first`` extra steps, and only on a hash hit.
+    A hit that fails confirmation is a hash collision; its count joins a
+    side list for that hash, which later hits on the hash also check
+    (replaying up to its last count), and reduction goes on, so the outcome
+    is the one a table of whole terms would give.
     """
     if fuel < 0:
         raise ValueError("fuel must be >= 0")
@@ -459,8 +458,7 @@ def normalize(t: Term, fuel: int = DEFAULT_FUEL, detect_cycles: bool = False,
                     full = len(slots) // 2 - 1
             else:
                 earlier = [first, *clashes.get(h, ())]
-                first = _recurrence(t, cur, earlier, steps if keep_steps else None,
-                                    jrules)
+                first = _recurrence(t, cur, earlier, jrules)
                 if first is not None:
                     return ReductionTrace(tuple(steps),
                                           CycleDetected(count - first, cur), count)
@@ -526,19 +524,15 @@ def _probe(slots: array, mask: int, fps: array, h: int) -> int:
     return i
 
 
-def _recurrence(t: Term, cur: Term, counts: list[int], steps: list[Step] | None,
+def _recurrence(t: Term, cur: Term, counts: list[int],
                 jrules: JRules | None) -> int | None:
     """The step count among counts (ascending) whose term equals cur, or
-    None.  Earlier terms come from steps when kept, else from replaying the
-    reduction of t."""
+    None.  Each earlier term is recomputed by replaying the reduction of t,
+    which is deterministic."""
     at, n = t, 0
     for c in counts:
-        if steps is not None:
-            at = steps[c].before
-        else:
-            for _ in range(c - n):
-                at = step_normal_order(at, jrules)[0]
-            n = c
+        while n < c:
+            at, n = step_normal_order(at, jrules)[0], n + 1
         if at == cur:
             return c
     return None
@@ -628,13 +622,10 @@ def reducts(t: Term):
 
 
 def contract_at(t: Term, path: tuple[int, ...], jrules: JRules | None = None) -> Term:
-    parents: list[Term] = []
-    for i in path:
-        if i not in (0, 1) or type(t) not in (Lam, App, Pi):
-            raise ValueError("no redex at position")
-        parents.append(t)
-        t = t.right if i else t.left
-    rule = _match_redex(t, jrules)
-    if rule is None:
-        raise ValueError("no redex at position")
-    return _rebuild(parents, path, _contract(t, rule))
+    """t with the redex at path contracted; ValueError when the walk yields
+    no redex there (so also for a path through index 2 or past a leaf)."""
+    want = list(path)
+    for parents, at, node, rule in _redexes(t, jrules):
+        if at == want:
+            return _rebuild(parents, at, _contract(node, rule))
+    raise ValueError("no redex at position")

@@ -166,6 +166,22 @@ def test_normalize_trace(capsys, good):
     assert code == 0
 
 
+def test_normalize_json_trace(capsys, good):
+    # --json keeps the steps --trace asked for; the text trace is unchanged
+    code, out, _ = run(capsys, "--json", "normalize", good, "--term", "idb",
+                       "--trace")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["trace"] == [{"position": [], "rule": "beta",
+                                 "term": r"\x:Bool. x"}]
+    assert payload["steps"] == 1
+    code, out, _ = run(capsys, "normalize", good, "--term", "idb", "--trace")
+    assert out.splitlines() == [r"   0 beta       at []: \x:Bool. x",
+                                r"\x:Bool. x"]
+    code, out, _ = run(capsys, "--json", "normalize", good, "--term", "idb")
+    assert "trace" not in json.loads(out)
+
+
 def test_normalize_fuel_flag(capsys, tmp_path):
     p = tmp_path / "loop.ipl"
     p.write_text("#system f\nw := (\\x:*. x x) (\\x:*. x x);\n")
@@ -296,6 +312,13 @@ def test_demo_loop_honours_fuel(capsys):
     code, out, _ = run(capsys, "--json", "demo", "loop", "--fuel", "2")
     assert code == 1
     assert json.loads(out)["outcome"] == "unexpected"
+
+
+def test_demo_loop_without_a_cycle_says_so(capsys):
+    code, out, _ = run(capsys, "demo", "loop", "--fuel", "2")
+    assert code == 1
+    assert out.splitlines()[-1] == "no cycle within 2 steps"
+    assert "cycle period" not in out
 
 
 def test_demo_hurkens_small_fuel(capsys):

@@ -17,7 +17,7 @@ from ptslab.encodings import definitions
 from ptslab.corpus import random_wellscoped, welltyped_corpus
 from ptslab.paradox import build_hurkens
 from ptslab.codes import build_flat_machinery, church
-from reference import has_no_redex_or_j
+from reference import contract_by_descent, has_no_redex_or_j, node_paths
 
 
 DEFS = definitions("f")
@@ -171,6 +171,15 @@ def test_contract_at_rejects_paths_that_reach_no_redex():
         with pytest.raises(ValueError, match="no redex at position"):
             contract_at(t, path)
     assert contract_at(t, (1,)) == App(ident, Var(0))
+    # J{rho}{rho} M is a redex only under J rules; its type arguments hold none
+    t = parse_term(r"J {rho} {rho} Delta", DEFS)
+    assert contract_at(t, (), JRules()) == DEFS["Delta"]
+    with pytest.raises(ValueError, match="no redex at position"):
+        contract_at(t, ())
+    for jrules in (None, JRules()):
+        for path in [(0,), (0, 0), (0, 0, 1), (0, 1), (0, 1, 1), (2,)]:
+            with pytest.raises(ValueError, match="no redex at position"):
+                contract_at(t, path, jrules)
 
 
 # --- one redex walk: the same answers as the two walks it replaced ---------
@@ -345,6 +354,24 @@ def test_reducts_are_the_contractions_at_redex_positions():
         assert got == [contract_at(t, p) for p in redex_positions(t)]
         branching += len(got) >= 2
     assert branching > 20
+    # under J rules, on the J loop and its first 10 reducts; every other
+    # path, to a node or to none, raises
+    fj = definitions("f+j")
+    t, jrules, rules = App(App(fj["K"], fj["rho"]), fj["K"]), JRules(), set()
+    for _ in range(11):
+        positions = redex_positions(t, jrules)
+        got = [contract_at(t, p, jrules) for p in positions]
+        assert got == [contract_by_descent(t, p, jrules) for p in positions]
+        for p in node_paths(t):
+            if p not in positions:
+                assert contract_by_descent(t, p, jrules) is None
+                with pytest.raises(ValueError, match="no redex at position"):
+                    contract_at(t, p, jrules)
+        reduct, _, rule = step_normal_order(t, jrules)
+        assert got[0] == reduct
+        t = reduct
+        rules.add(rule)
+    assert rules == {"beta", "deltaJ-eq"}
 
 
 # --- normality fixed at construction: the walks read, never write ---------
