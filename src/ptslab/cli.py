@@ -203,7 +203,8 @@ def cmd_demo(args) -> int:
                      if type(rep.trace.outcome) is CycleDetected
                      else f"no cycle within {fuel} steps")
         _emit(args, {"command": "demo", "outcome":
-                     "cycle" if ok else "unexpected", "steps": rep.period,
+                     "cycle" if ok else "unexpected",
+                     "steps": rep.trace.step_count,
                      "type": "rho", "term": show(rep.start)},
               "\n".join(lines))
         return 0 if ok else 1

@@ -171,6 +171,17 @@ def default_code_table() -> CodeTable:
     return CodeTable(terms, typ)
 
 
+@lru_cache(maxsize=64)
+def _guard_failure(k: Term) -> tuple[int, int | None] | None:
+    """The first (x, k(x)) on numerals 1..8 with k(x) not below x, if any.
+    Cached: build_flat and build_prop2 both guard pred."""
+    for x in range(1, 9):
+        v = numeral_value(App(k, church(x)))
+        if v is None or v >= x:
+            return x, v
+    return None
+
+
 def _ingredients(defs: dict[str, Term], named: list[tuple[str, Term, str]],
                  ks: list[Term]) -> None:
     """Bind each (name, term, type text) ingredient and k1..km in defs,
@@ -184,10 +195,10 @@ def _ingredients(defs: dict[str, Term], named: list[tuple[str, Term, str]],
         except TypingError as exc:
             raise IllTypedIngredient(f"{name}: {exc}") from exc
     for i, k in enumerate(ks, 1):
-        for x in range(1, 9):
-            v = numeral_value(App(k, church(x)))
-            if v is None or v >= x:
-                raise GuardViolation(f"k{i}({x}) = {v}, not below {x}")
+        bad = _guard_failure(k)
+        if bad is not None:
+            x, v = bad
+            raise GuardViolation(f"k{i}({x}) = {v}, not below {x}")
 
 
 def _picks(ty: str, y: str, values: str, m: int) -> str:

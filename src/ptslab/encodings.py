@@ -1,7 +1,7 @@
 """The shared corpus of named terms: Church encodings, the loop ingredients,
 and the Type:Type basics.  Every entry carries its expected type and a
 citation; the registry invariant (each entry checks at its stated type) is
-enforced by the test suite and re-checkable via verify_registry().
+enforced by the test suite.
 """
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from types import MappingProxyType
 
 from .term import Term
 from .syntax import parse_term
-from .systems import SYSTEMS, EMPTY, check
 
 
 @dataclass(frozen=True)
@@ -147,14 +146,3 @@ def entry(name: str, system: str | None = None) -> EncodingEntry:
         if e.name == name and (system is None or e.system == system):
             return e
     raise KeyError(name)
-
-
-def verify_registry() -> list[str]:
-    """Re-check every entry at its stated type; returns failure messages."""
-    failures = []
-    for e in registry():
-        try:
-            check(SYSTEMS[e.system], EMPTY, e.term, e.type)
-        except Exception as exc:
-            failures.append(f"{e.system}:{e.name}: {exc}")
-    return failures

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .term import (App, CycleDetected, JRules, ReductionTrace, Term,
                    normalize)
 from .syntax import parse
-from .systems import SYSTEM_F_J, LAMBDA_STAR, EMPTY, infer
+from .systems import LAMBDA_STAR, EMPTY, infer
 from .encodings import entry
 
 
@@ -50,13 +50,6 @@ def build_loop(fuel: int = 100) -> LoopReport:
     period = trace.outcome.period if type(trace.outcome) is CycleDetected else 0
     return LoopReport(start, trace, checkpoints,
                       tuple(s if s is not None else -1 for s in steps), period)
-
-
-def loop_type_checks() -> bool:
-    rho = entry("rho").term
-    K = entry("K").term
-    j = infer(SYSTEM_F_J, EMPTY, App(App(K, rho), K))
-    return j.type == rho
 
 
 # Hurkens' term.  U is the "universe" of covariant powerset algebras;

@@ -14,18 +14,19 @@ looser than application):
            | arrow
     arrow := app ('->' term)?
     app   := atom+
-    atom  := name | '*' | 'V' | 'BOX' | 'J' | '(' term ')' | '{' term '}'
+    atom  := name | sort | 'J' | '(' term ')' | '{' term '}'
+    sort  := a sort of the calculi ('*', 'BOX', 'TRI'), 'V' for '*'
 
 `{t}` is ordinary application after parsing; comments run from `--` to the
-end of the line.
+end of the line.  BOX, TRI, V and J are reserved words.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
 
-from .term import (App, BOX_SORT, Lam, Pi, PrimJ, J, Sort, STAR,
-                   STAR_SORT, Term, UNTYPED, Var)
+from .term import (App, Lam, Pi, PrimJ, J, Sort, STAR, STAR_SORT, Term,
+                   UNTYPED, Var)
 from .systems import SYSTEMS
 
 
@@ -48,7 +49,9 @@ _TOKEN = re.compile(r"""
 # an untyped binder binds a type variable (domain *)
 _BINDERS = {"\\": (Lam, True), "/\\": (Lam, False),
             "Pi": (Pi, True), "forall": (Pi, False)}
-_CONSTANTS = {"*": STAR_SORT, "V": STAR_SORT, "BOX": BOX_SORT, "J": J}
+# every sort the calculi declare (*, BOX, TRI), V for *, and J
+_CONSTANTS = {s: Sort(s) for spec in SYSTEMS.values() for s in spec.sorts}
+_CONSTANTS |= {STAR: STAR_SORT, "V": STAR_SORT, "J": J}
 _BRACKETS = {"(": ")", "{": "}"}
 _KEYWORDS = {w for w in (*_BINDERS, *_CONSTANTS) if w.isalpha()}
 

@@ -2,8 +2,9 @@
 
 A system is a triple (sorts, axioms, rules); one checker serves the simply
 typed calculus, System F, System U minus and Type:Type, only the triple
-changes.  It infers types (`check` adds a conversion) by one sort judgement
-and one product rule, which types a Pi and, through its Pi, a lambda.  The
+changes.  It infers types by one sort judgement and one product rule, which
+types a Pi and, through its Pi, a lambda; `check` adds the sort judgement of
+the expected type, unless it is the inferred one, and a conversion.  The
 one conversion algorithm compares weak head normal forms (term.weak_head)
 level by level.  Fuel bounds each weak head normalisation and the pairs a
 comparison visits, so in Type:Type the checker gives up instead of hanging;
@@ -27,10 +28,14 @@ class SystemSpec:
     with_j: bool = False
 
     def __post_init__(self):
-        for s, t in self.axioms:
-            assert s in self.sorts and t in self.sorts
-        for a, b, c in self.rules:
-            assert {a, b, c} <= self.sorts
+        # axiom() and rule() are functions only if no sort has two axioms
+        # and no (s1, s2) two rules; else frozenset order would pick one
+        if not {s for r in self.axioms | self.rules for s in r} <= self.sorts:
+            raise ValueError(f"{self.name}: an axiom or rule names no sort")
+        if len({s for s, _ in self.axioms}) < len(self.axioms):
+            raise ValueError(f"{self.name}: a sort has two axioms")
+        if len({(a, b) for a, b, _ in self.rules}) < len(self.rules):
+            raise ValueError(f"{self.name}: an (s1, s2) has two rules")
 
     def axiom(self, s: str) -> str | None:
         for a, b in self.axioms:
@@ -275,12 +280,18 @@ def infer(spec: SystemSpec, ctx: Context, t: Term,
 
 def check(spec: SystemSpec, ctx: Context, t: Term, expected: Term,
           fuel: int = DEFAULT_FUEL) -> Judgment:
+    """t : expected.  t's type is inferred first; when it equals `expected`
+    that is the judgement, and `expected` needs none of its own (so a top
+    sort, such as BOX in f, which has no type, can be expected).  Otherwise
+    `expected` must be a type (the sort judgement, else NoRule) convertible
+    with t's type (else TypeMismatch)."""
     ck = _Checker(spec, fuel)
     env = _env_of(ctx)
-    ck.infer(env, expected, ())
     ty = ck.infer(env, t, ())
-    if not ck.conv(ty, expected, ()):
-        raise TypeMismatch("type mismatch", expected=expected, actual=ty)
+    if ty != expected:
+        ck.sort(env, expected, (), "expected type")
+        if not ck.conv(ty, expected, ()):
+            raise TypeMismatch("type mismatch", expected=expected, actual=ty)
     return Judgment(ctx, t, expected, spec.name)
 
 

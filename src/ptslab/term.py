@@ -168,7 +168,6 @@ class Pi(Term):
 
 J = PrimJ()
 STAR_SORT = Sort(STAR)
-BOX_SORT = Sort(BOX)
 # the domain of every erased binder; closed, so substitution never enters it
 UNTYPED = Sort("untyped")
 

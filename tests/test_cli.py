@@ -71,6 +71,19 @@ def test_check_stlc_rejects_forall(capsys, tmp_path):
     assert json.loads(out)["error"] == "NoRule"
 
 
+@pytest.mark.parametrize("text, line", [
+    ("#system f\nS := *;\nS : BOX;\n", "S : BOX"),
+    ("#system stlc\nS := *;\nS : BOX;\n", "S : BOX"),
+    ("#system uminus\nK := BOX;\nK : TRI;\n", "K : TRI")])
+def test_check_accepts_a_top_sort(capsys, tmp_path, text, line):
+    # the top sort has no type of its own, and TRI parses like BOX
+    p = tmp_path / "top.ipl"
+    p.write_text(text)
+    code, out, _ = run(capsys, "check", str(p))
+    assert code == 0
+    assert out.splitlines() == [line, line]
+
+
 def test_check_of_undefined_name(capsys, tmp_path):
     p = tmp_path / "undefined.ipl"
     p.write_text("#system f\nfoo : Bool -> Bool;\n")
@@ -305,13 +318,16 @@ def test_demo_loop_json(capsys):
     code, out, _ = run(capsys, "--json", "demo", "loop")
     payload = json.loads(out)
     assert payload["outcome"] == "cycle"
+    assert payload["steps"] == 3  # the recurrence, period 3, at step 3
 
 
 def test_demo_loop_honours_fuel(capsys):
     # one step short of the recurrence at step 3
     code, out, _ = run(capsys, "--json", "demo", "loop", "--fuel", "2")
     assert code == 1
-    assert json.loads(out)["outcome"] == "unexpected"
+    payload = json.loads(out)
+    assert payload["outcome"] == "unexpected"
+    assert payload["steps"] == 2  # the contractions made, not the period
 
 
 def test_demo_loop_without_a_cycle_says_so(capsys):

@@ -1,6 +1,11 @@
 import hashlib
+import os
+import subprocess
+import sys
 
 import pytest
+
+import ptslab
 
 from ptslab.term import App, STAR_SORT, app, normal_form_of
 from ptslab.systems import EMPTY, SYSTEMS, check, infer
@@ -148,6 +153,22 @@ def test_prop1_rejects_unguarded_k():
     with pytest.raises(GuardViolation):
         build_prop1(STAR_SORT, STAR_SORT,
                     parse_term(r"\y:Nty. \v:V. v", d), [d["succ"]])
+
+
+def test_cold_build_guards_pred_once():
+    # build_flat and build_prop2 both guard pred on the numerals 1..8; a
+    # fresh process normalises those 8 guards once, not twice
+    prog = ("import ptslab.codes as cd\n"
+            "calls = []\n"
+            "value = cd.numeral_value\n"
+            "cd.numeral_value = lambda *a: calls.append(a) or value(*a)\n"
+            "cd.build_flat_machinery()\n"
+            "print(len(calls))\n")
+    src = os.path.dirname(os.path.dirname(ptslab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", prog], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["8"]
 
 
 def test_identity_k_is_also_rejected():

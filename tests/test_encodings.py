@@ -3,8 +3,7 @@ import pytest
 from ptslab.term import app, normal_form_of, normalize, NormalForm
 from ptslab.systems import EMPTY, SYSTEMS, check, infer
 from ptslab.syntax import parse_term
-from ptslab.encodings import (EncodingEntry, definitions, entry, registry,
-                              verify_registry)
+from ptslab.encodings import EncodingEntry, definitions, entry, registry
 
 
 F = definitions("f")
@@ -15,10 +14,6 @@ def test_registry_invariant():
     # every entry checks against its announced type in its own system
     for e in registry():
         check(SYSTEMS[e.system], EMPTY, e.term, e.type)
-
-
-def test_verify_registry_helper():
-    assert verify_registry() == []
 
 
 def test_expected_names_present():

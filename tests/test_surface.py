@@ -54,6 +54,15 @@ def test_sorts():
     assert parse_term("*") == STAR_SORT
     assert parse_term("V") == STAR_SORT
     assert parse_term("BOX") == Sort("BOX")
+    assert parse_term("TRI") == Sort("TRI")
+
+
+@pytest.mark.parametrize("star", [False, True])
+def test_every_sort_of_the_calculi_parses_back(star):
+    # under star=True, * prints as V, which parses back to *
+    for spec in SYSTEMS.values():
+        for s in spec.sorts:
+            assert parse_term(pretty(Sort(s), star=star)) == Sort(s)
 
 
 # --- files -----------------------------------------------------------------

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import random
 
@@ -9,9 +10,9 @@ from ptslab.systems import (ArgumentTypeMismatch, ConversionFuelExhausted,
                             Context, EMPTY, JNotEnabled,
                             J_TYPE, LAMBDA_ARROW, LAMBDA_STAR, LAMBDA_U_MINUS,
                             NoAxiom, NoRule, NotAFunction, SYSTEM_F,
-                            SYSTEM_F_J, SYSTEMS, TypeMismatch, TypingError,
-                            UnboundVariable, _Checker, check, convertible,
-                            infer, subject_reduction_probe)
+                            SYSTEM_F_J, SYSTEMS, SystemSpec, TypeMismatch,
+                            TypingError, UnboundVariable, _Checker, check,
+                            convertible, infer, subject_reduction_probe)
 from ptslab.corpus import random_wellscoped, welltyped_corpus
 from ptslab.syntax import parse_term, pretty
 from ptslab.encodings import definitions, registry
@@ -151,6 +152,42 @@ def test_check_is_up_to_conversion():
     bot = ts("Pi x:V. x")
     ann = App(Lam(STAR_SORT, Pi(Var(0), Var(1))), bot)
     check(LAMBDA_STAR, EMPTY, Lam(bot, Var(0)), ann)
+
+
+def test_every_axiom_checks():
+    # s : s' for each axiom, the top sorts BOX (stlc, f, f+j) and TRI
+    # (uminus), which have no type, included
+    for spec in SYSTEMS.values():
+        for s, top in spec.axioms:
+            check(spec, EMPTY, Sort(s), Sort(top))
+
+
+def test_check_judges_the_expected_type_as_a_type():
+    # ID is well typed but no type, so T : ID is no mismatch of two types
+    with pytest.raises(NoRule, match="expected type is not a type"):
+        check(SYSTEM_F, EMPTY, F_DEFS["T"], F_DEFS["ID"])
+
+
+def test_check_reports_the_subject_first():
+    # both the subject and the expected type are ill typed
+    with pytest.raises(UnboundVariable):
+        check(SYSTEM_F, EMPTY, Var(0), App(STAR_SORT, STAR_SORT))
+
+
+# --- the triple ------------------------------------------------------------
+
+@pytest.mark.parametrize("axioms, rules, what", [
+    ({("*", "TRI")}, set(), "names no sort"),
+    (set(), {("*", "*", "TRI")}, "names no sort"),
+    ({("*", "BOX"), ("*", "*")}, set(), "two axioms"),
+    ({("*", "BOX")}, {("*", "*", "*"), ("*", "*", "BOX")}, "two rules")])
+def test_system_spec_rejects_a_bad_triple(axioms, rules, what):
+    # ValueError, not assert, so that python -O keeps the check; two axioms
+    # for a sort or two rules for a pair would leave axiom() or rule() to
+    # pick one by frozenset order
+    with pytest.raises(ValueError, match=what):
+        SystemSpec("bad", frozenset({"*", "BOX"}), frozenset(axioms),
+                   frozenset(rules))
 
 
 # --- convertible -----------------------------------------------------------
@@ -397,13 +434,39 @@ def _outcome(spec, t):
         return f"{type(exc).__name__} {exc.position} {exc}"
 
 
-def test_checker_outcomes_are_pinned():
-    # each term's inferred type or error (class, position, message) in all
-    # five systems, pinned so that a rewrite of the checker must decide
-    # exactly as before; most random terms are ill-typed somewhere
+@functools.lru_cache(maxsize=1)
+def _pinned_terms() -> tuple[Term, ...]:
+    # most random terms are ill-typed somewhere
     rng = random.Random(7)
     terms = [random_wellscoped(rng, rng.randint(3, 25)) for _ in range(1000)]
     terms += [t for t, _ in welltyped_corpus(300, seed=7)]
-    rows = [_outcome(spec, t) for t in terms for spec in SYSTEMS.values()]
+    return tuple(terms)
+
+
+def test_checker_outcomes_are_pinned():
+    # each term's inferred type or error (class, position, message) in all
+    # five systems, pinned so that a rewrite of the checker must decide
+    # exactly as before
+    rows = [_outcome(spec, t) for t in _pinned_terms()
+            for spec in SYSTEMS.values()]
     assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == (
         "7dcbdaee222c0a9dc036ef2cece7600e994b4211ff6a7cdcc036bb08606f7014")
+
+
+def test_check_accepts_every_inferred_type():
+    # on the pinned terms and their closed subterms, among them * : BOX in
+    # stlc, f and f+j, where the top sort BOX has no type
+    seen, todo = set(), list(_pinned_terms())
+    while todo:
+        t = todo.pop()
+        if t not in seen:
+            seen.add(t)
+            if type(t) in (App, Lam, Pi):
+                todo += (t.left, t.right)
+    for t in (t for t in seen if t.fvb == 0):
+        for spec in SYSTEMS.values():
+            try:
+                ty = infer(spec, EMPTY, t, fuel=2000).type
+            except TypingError:
+                continue
+            check(spec, EMPTY, t, ty, fuel=2000)
