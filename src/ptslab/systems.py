@@ -8,7 +8,13 @@ the expected type, unless it is the inferred one, and a conversion.  The
 one conversion algorithm compares weak head normal forms (term.weak_head)
 level by level.  Fuel bounds each weak head normalisation and the pairs a
 comparison visits, so in Type:Type the checker gives up instead of hanging;
-a negative fuel raises ValueError.
+a negative fuel raises ValueError.  Each declaration of a context must be a
+type in the context before it.
+
+The subject-reduction probe sweeps its checker's caches every 200 steps
+down to what the current reduct can still reach, so its memory follows the
+reduct and its subterms' types, not every term the run met (Hurkens: a
+traced peak of 4.4 MiB at 600 steps, 10.4 MiB unswept; see its docstring).
 """
 from __future__ import annotations
 
@@ -206,6 +212,23 @@ class _Checker:
             todo.append((wa.left, wb.left))
         return True
 
+    def sweep(self, roots: tuple[Term, ...]) -> None:
+        """Forget what no subterm of roots can ask for: a types entry whose
+        term is unreachable from roots, and a whnfs entry whose term is
+        neither reachable nor a kept type.  Marking does not follow the
+        cached values, which span far more nodes than the keys."""
+        live: set[int] = set()
+        todo = list(roots)
+        while todo:
+            n = todo.pop()
+            if id(n) not in live:
+                live.add(id(n))
+                if type(n) in (Lam, App, Pi):
+                    todo += n.left, n.right
+        self.types = {k: v for k, v in self.types.items() if id(k[0]) in live}
+        live.update(id(v) for v in self.types.values())
+        self.whnfs = {k: v for k, v in self.whnfs.items() if id(k) in live}
+
     def infer(self, env: tuple[Term, ...], t: Term, pos: tuple[int, ...]) -> Term:
         # only the part of the context that t can see matters for its type
         key = (t, env[:t.fvb])
@@ -267,14 +290,20 @@ class _Checker:
         raise TypingError(f"cannot type {tt.__name__}", pos, t)
 
 
-def _env_of(ctx: Context) -> tuple[Term, ...]:
-    # innermost (highest index in decls) first
-    return tuple(ty for _, ty in reversed(ctx.decls))
+def _env_of(ck: _Checker, ctx: Context) -> tuple[Term, ...]:
+    """ctx as the checker's environment, innermost (highest index in decls)
+    first; each declaration must be a type in the context before it."""
+    env: tuple[Term, ...] = ()
+    for name, ty in ctx.decls:
+        ck.sort(env, ty, (), f"declaration of {name}")
+        env = (ty,) + env
+    return env
 
 
 def infer(spec: SystemSpec, ctx: Context, t: Term,
           fuel: int = DEFAULT_FUEL) -> Judgment:
-    ty = _Checker(spec, fuel).infer(_env_of(ctx), t, ())
+    ck = _Checker(spec, fuel)
+    ty = ck.infer(_env_of(ck, ctx), t, ())
     return Judgment(ctx, t, ty, spec.name)
 
 
@@ -286,7 +315,7 @@ def check(spec: SystemSpec, ctx: Context, t: Term, expected: Term,
     `expected` must be a type (the sort judgement, else NoRule) convertible
     with t's type (else TypeMismatch)."""
     ck = _Checker(spec, fuel)
-    env = _env_of(ctx)
+    env = _env_of(ck, ctx)
     ty = ck.infer(env, t, ())
     if ty != expected:
         ck.sort(env, expected, (), "expected type")
@@ -317,15 +346,35 @@ class ProbeReport:
     reason: str | None = None
 
 
+# steps between two sweeps of the probe's checker caches; sweeping more
+# often bounds memory tighter but recomputes more (every 50 steps: x1.2-1.5
+# time on the Hurkens probe)
+_SWEEP_EVERY = 200
+
+
 def subject_reduction_probe(spec: SystemSpec, ctx: Context, t: Term,
                             steps: int, fuel: int = DEFAULT_FUEL) -> ProbeReport:
     """Reduce t and re-infer after each contraction; the type must stay
-    convertible with the original one."""
+    convertible with the original one.
+
+    One checker serves the whole run, so a reduct reuses the types of the
+    subterms it shares with earlier ones.  Every _SWEEP_EVERY steps the
+    checker's caches are swept down to what the current reduct, the original
+    type and the context can still reach.  The peak is then what one window
+    of steps allocates plus about 115 bytes per DAG node kept, that is, of
+    the reduct and of its subterms' cached types.  On the Hurkens term
+    (Python 3.11) a window allocates 3-6 MiB; over 4000 steps the reduct
+    stays at 200-450 nodes, while the kept types grow from 2.4k nodes at
+    step 200 to 30k (3.4 MiB) at step 4000.  The tracemalloc peak is 4.4
+    MiB at 600 steps (tested at <= 6 MiB) and 10.6 MiB at 4000; without
+    the sweep it was 10.4 and 98.5 MiB."""
     ck = _Checker(spec, fuel)
-    env = _env_of(ctx)
+    env = _env_of(ck, ctx)
     ty0 = ck.infer(env, t, ())
     cur = t
     for i in range(steps):
+        if i and i % _SWEEP_EVERY == 0:
+            ck.sweep((cur, ty0) + env)
         r = step_normal_order(cur, ck.jrules)
         if r is None:
             return ProbeReport(i, True)

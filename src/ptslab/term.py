@@ -190,8 +190,11 @@ def _rewrite(t: Term, arg: Term | None, by: int) -> Term:
     out: list[Term] = []
     emit, take = out.append, out.pop
     # reduction shares subtrees heavily; memoise on node identity so each
-    # physical subtree is rebuilt once per cutoff instead of once per path
-    memo: dict[tuple[int, int], Term] = {}
+    # physical subtree is rebuilt once per cutoff instead of once per path.
+    # As in Term.__eq__ the memo starts after 64 interior nodes, more than
+    # most calls rebuild, so they build none
+    memo: dict[tuple[int, int], Term] | None = None
+    unrecorded = 64
     stack: list[tuple[Term, int, bool]] = [(t, 0, False)]
     push, pop = stack.append, stack.pop
     while stack:
@@ -200,7 +203,8 @@ def _rewrite(t: Term, arg: Term | None, by: int) -> Term:
             b = take()
             a = take()
             res = node if a is node.left and b is node.right else type(node)(a, b)
-            memo[id(node), cut] = res
+            if memo is not None:
+                memo[id(node), cut] = res
             emit(res)
         elif node.fvb <= cut:
             emit(node)
@@ -211,14 +215,18 @@ def _rewrite(t: Term, arg: Term | None, by: int) -> Term:
             else:
                 emit(arg if closed else shift(arg, cut))
         else:
-            hit = memo.get((id(node), cut))
-            if hit is not None:
-                emit(hit)
+            if memo is not None:
+                hit = memo.get((id(node), cut))
+                if hit is not None:
+                    emit(hit)
+                    continue
+            elif unrecorded:
+                unrecorded -= 1
             else:
-                push((node, cut, True))
-                push((node.right, cut if type(node) is App else cut + 1,
-                      False))
-                push((node.left, cut, False))
+                memo = {}
+            push((node, cut, True))
+            push((node.right, cut if type(node) is App else cut + 1, False))
+            push((node.left, cut, False))
     return out[0]
 
 

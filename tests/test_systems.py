@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 
@@ -16,6 +17,7 @@ from ptslab.systems import (ArgumentTypeMismatch, ConversionFuelExhausted,
 from ptslab.corpus import random_wellscoped, welltyped_corpus
 from ptslab.syntax import parse_term, pretty
 from ptslab.encodings import definitions, registry
+from ptslab.paradox import build_hurkens
 
 
 F_DEFS = definitions("f")
@@ -126,6 +128,25 @@ def test_context_lookup_shifts():
     assert infer(SYSTEM_F, ctx, Var(1)).type == STAR_SORT
     with pytest.raises(UnboundVariable):
         infer(SYSTEM_F, ctx, Var(5))
+
+
+# each entry point that takes a context, on x : #5 (ill-scoped) and on
+# y : x (a term, not a type)
+_CONTEXT_ENTRIES = {
+    "infer": lambda ctx: infer(SYSTEM_F, ctx, Var(0)),
+    "check": lambda ctx: check(SYSTEM_F, ctx, Var(0), Var(6)),
+    "subject_reduction_probe": lambda ctx: subject_reduction_probe(
+        SYSTEM_F, ctx, Var(0), 3),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_CONTEXT_ENTRIES))
+def test_ill_formed_context_is_rejected(entry):
+    with pytest.raises(UnboundVariable):
+        _CONTEXT_ENTRIES[entry](Context((("x", Var(5)),)))
+    ctx = EMPTY.extend("A", STAR_SORT).extend("x", Var(0)).extend("y", Var(0))
+    with pytest.raises(NoRule, match="declaration of y is not a type"):
+        _CONTEXT_ENTRIES[entry](ctx)
 
 
 # --- check -----------------------------------------------------------------
@@ -373,6 +394,20 @@ def test_probe_registry_smoke():
     for e in list(registry())[:8]:
         rep = subject_reduction_probe(SYSTEMS[e.system], EMPTY, e.term, steps=10)
         assert rep.ok, e.name
+
+
+def test_probe_memory_is_bounded():
+    # the probe's docstring bound: about 4.4 MiB at 600 steps with the
+    # sweep, 10.4 MiB with caches that keep every reduct's subterms
+    t = build_hurkens()
+    tracemalloc.start()
+    try:
+        rep = subject_reduction_probe(LAMBDA_STAR, EMPTY, t, 600, 200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.ok and rep.steps_taken == 600
+    assert peak <= 6 * 2**20
 
 
 # --- containment and embedding ---------------------------------------------

@@ -47,6 +47,28 @@ def test_substitute_shifts_under_binder():
     assert substitute(body, Var(1)) == Lam(STAR_SORT, Var(2))
 
 
+def test_substitute_into_a_shared_dag_stays_linear():
+    # t_{k+1} = t_k t_k has 17 distinct nodes at depth 16 but 2^17 - 1 as a
+    # tree; substitution memoises on node identity past 64 interior nodes,
+    # so it builds a DAG too, not the 2^16 - 1 applications of the tree
+    def tower(leaf, depth):
+        for _ in range(depth):
+            leaf = App(leaf, leaf)
+        return leaf
+
+    depth, arg = 16, Lam(STAR_SORT, App(Var(0), Var(1)))
+    got = substitute(tower(Var(0), depth), arg)
+    assert got == tower(arg, depth)
+    seen, todo = set(), [got]
+    while todo:
+        n = todo.pop()
+        if id(n) not in seen:
+            seen.add(id(n))
+            if type(n) is App:
+                todo += n.left, n.right
+    assert len(seen) <= 64 + 2 * depth
+
+
 # named-variable oracle: an independent substituter over named trees
 
 class NVar:
