@@ -23,8 +23,8 @@ enumeration is a bounded table, wide enough for the eight registered codes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .term import (App, Lam, Pi, STAR_SORT, Term, Var, normal_form_of,
                    DEFAULT_FUEL)
@@ -113,8 +113,7 @@ def _ascending_chain(cases: dict[int, str], default: str, var: str = "n",
     return text
 
 
-@dataclass(frozen=True)
-class CodeTable:
+class CodeTable(NamedTuple):
     """Finite injective coding of closed terms.  Application codes
     multiply: #(a b) = #a * #b for the registered pair."""
     terms: tuple[tuple[int, str, Term], ...]
@@ -208,8 +207,7 @@ def _picks(ty: str, y: str, values: str, m: int) -> str:
                    for i in range(1, m + 1))
 
 
-@dataclass(frozen=True)
-class Prop1:
+class Prop1(NamedTuple):
     """f, its course-of-values list F, and the base case g it was built
     from.  f y : A."""
     f: Term
@@ -270,8 +268,7 @@ def build_flat() -> Prop1:
     return build_prop1(STAR_SORT, STAR_SORT, h, [defs["pred"]])
 
 
-@dataclass(frozen=True)
-class Prop2:
+class Prop2(NamedTuple):
     """The mutual T/F recursion of prime-product codes (the code lists are
     carried explicitly alongside the products), and the decoded type family
     A(y) = flat(delta(y+1, T-codes))."""
@@ -331,8 +328,7 @@ def build_prop2(Ccode: int, gcode: int, dcode: Term, hcode: Term,
     return Prop2(T, F, A)
 
 
-@dataclass(frozen=True)
-class FlatMachinery:
+class FlatMachinery(NamedTuple):
     table: CodeTable
     list_type: Term
     delta: Term

@@ -75,6 +75,9 @@ def _seeds(max_nodes: int) -> tuple[tuple[Term, Term], ...]:
         ("nil {Bool}", "forall Y. Y -> (Bool->Y->Y) -> Y"),
     ]
     seeds = [(parse_term(a, defs), parse_term(b, defs)) for a, b in pairs]
+    smallest = min(term_size(a) for a, _ in seeds)
+    if max_nodes < smallest:
+        raise ValueError(f"max_nodes must be >= {smallest}, the smallest seed")
     return tuple(s for s in seeds if term_size(s[0]) <= max_nodes)
 
 

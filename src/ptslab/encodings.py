@@ -5,16 +5,15 @@ enforced by the test suite.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .term import Term
 from .syntax import parse_term
 
 
-@dataclass(frozen=True)
-class EncodingEntry:
+class EncodingEntry(NamedTuple):
     name: str
     system: str
     term: Term

@@ -13,7 +13,7 @@ Girard's paradox.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .term import (App, CycleDetected, JRules, ReductionTrace, Term,
                    normalize)
@@ -22,8 +22,7 @@ from .systems import LAMBDA_STAR, EMPTY, infer
 from .encodings import entry
 
 
-@dataclass(frozen=True)
-class LoopReport:
+class LoopReport(NamedTuple):
     start: Term
     trace: ReductionTrace
     checkpoints: tuple[Term, ...]   # the displayed intermediate configurations

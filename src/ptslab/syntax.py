@@ -23,7 +23,7 @@ end of the line.  BOX, TRI, V and J are reserved words.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .term import (App, Lam, Pi, PrimJ, J, Sort, STAR, STAR_SORT, Term,
                    UNTYPED, Var)
@@ -79,20 +79,17 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return out
 
 
-@dataclass(frozen=True)
-class Definition:
+class Definition(NamedTuple):
     name: str
     term: Term
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     type: Term
 
 
-@dataclass(frozen=True)
-class SourceFile:
+class SourceFile(NamedTuple):
     system: str | None
     items: tuple[Definition | Check, ...]
 

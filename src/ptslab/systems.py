@@ -18,30 +18,33 @@ traced peak of 4.4 MiB at 600 steps, 10.4 MiB unswept; see its docstring).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 from .term import (App, DEFAULT_FUEL, JRules, Lam, Pi, PrimJ, Sort, Term,
                    Var, shift, step_normal_order, substitute, weak_head, BOX,
                    STAR, TRIANGLE, STAR_SORT)
 
 
-@dataclass(frozen=True)
-class SystemSpec:
-    name: str
-    sorts: frozenset[str]
-    axioms: frozenset[tuple[str, str]]
-    rules: frozenset[tuple[str, str, str]]
-    with_j: bool = False
+class SystemSpec(namedtuple("SystemSpec", "name sorts axioms rules with_j")):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, name: str, sorts: frozenset[str],
+                axioms: frozenset[tuple[str, str]],
+                rules: frozenset[tuple[str, str, str]], with_j: bool = False):
         # axiom() and rule() are functions only if no sort has two axioms
         # and no (s1, s2) two rules; else frozenset order would pick one
-        if not {s for r in self.axioms | self.rules for s in r} <= self.sorts:
-            raise ValueError(f"{self.name}: an axiom or rule names no sort")
-        if len({s for s, _ in self.axioms}) < len(self.axioms):
-            raise ValueError(f"{self.name}: a sort has two axioms")
-        if len({(a, b) for a, b, _ in self.rules}) < len(self.rules):
-            raise ValueError(f"{self.name}: an (s1, s2) has two rules")
+        if not {s for r in axioms | rules for s in r} <= sorts:
+            raise ValueError(f"{name}: an axiom or rule names no sort")
+        if len({s for s, _ in axioms}) < len(axioms):
+            raise ValueError(f"{name}: a sort has two axioms")
+        if len({(a, b) for a, b, _ in rules}) < len(rules):
+            raise ValueError(f"{name}: an (s1, s2) has two rules")
+        return super().__new__(cls, name, sorts, axioms, rules, with_j)
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)     # so that _replace checks too
 
     def axiom(self, s: str) -> str | None:
         for a, b in self.axioms:
@@ -86,8 +89,7 @@ J_TYPE = Pi(STAR_SORT, Pi(STAR_SORT,
             Pi(Pi(Var(1), Var(2)), Pi(Var(1), Var(2)))))
 
 
-@dataclass(frozen=True)
-class Context:
+class Context(NamedTuple):
     """Typing context; declarations listed outermost first."""
     decls: tuple[tuple[str, Term], ...] = ()
 
@@ -98,8 +100,7 @@ class Context:
 EMPTY = Context()
 
 
-@dataclass(frozen=True)
-class Judgment:
+class Judgment(NamedTuple):
     context: Context
     subject: Term
     type: Term
@@ -336,8 +337,7 @@ def convertible(spec: SystemSpec, ctx: Context, a: Term, b: Term,
     return "convertible" if same else "distinct"
 
 
-@dataclass(frozen=True)
-class ProbeReport:
+class ProbeReport(NamedTuple):
     steps_taken: int
     ok: bool
     violation_step: int | None = None
@@ -368,6 +368,8 @@ def subject_reduction_probe(spec: SystemSpec, ctx: Context, t: Term,
     step 200 to 30k (3.4 MiB) at step 4000.  The tracemalloc peak is 4.4
     MiB at 600 steps (tested at <= 6 MiB) and 10.6 MiB at 4000; without
     the sweep it was 10.4 and 98.5 MiB."""
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
     ck = _Checker(spec, fuel)
     env = _env_of(ck, ctx)
     ty0 = ck.infer(env, t, ())

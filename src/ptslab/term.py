@@ -31,7 +31,8 @@ arg/body/codomain.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 STAR = "*"
 BOX = "BOX"
@@ -248,15 +249,19 @@ def substitute(body: Term, arg: Term) -> Term:
 # ---------------------------------------------------------------------------
 # reduction
 
-@dataclass(frozen=True)
-class JRules:
+class JRules(namedtuple("JRules", "type_fuel")):
     """Delta rules for J: J{s}{t} M -> M when s,t closed and equal up to
     normalization, J{s}{t} M -> \\x:t. x when closed and distinct."""
-    type_fuel: int = DEFAULT_FUEL
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.type_fuel < 0:
+    def __new__(cls, type_fuel: int = DEFAULT_FUEL):
+        if type_fuel < 0:
             raise ValueError("fuel must be >= 0")
+        return super().__new__(cls, type_fuel)
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)     # so that _replace checks too
 
 
 RULE_BETA = "beta"
@@ -350,33 +355,28 @@ def step_normal_order(t: Term, jrules: JRules | None = None):
     return None
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     position: tuple[int, ...]
     rule: str
     before: Term
     after: Term
 
 
-@dataclass(frozen=True)
-class NormalForm:
+class NormalForm(NamedTuple):
     term: Term
 
 
-@dataclass(frozen=True)
-class FuelExhausted:
+class FuelExhausted(NamedTuple):
     last: Term
     fuel: int
 
 
-@dataclass(frozen=True)
-class CycleDetected:
+class CycleDetected(NamedTuple):
     period: int
     witness: Term
 
 
-@dataclass(frozen=True)
-class ReductionTrace:
+class ReductionTrace(NamedTuple):
     steps: tuple[Step, ...]
     outcome: NormalForm | FuelExhausted | CycleDetected
     step_count: int

@@ -1,9 +1,17 @@
 """Reference models for differential tests of the kernel.
 
-Each model is the textbook definition, written recursively, with no caches,
-no flags and no fuel tricks, and is meant only for small terms.
+Each model is either the textbook definition, written recursively with no
+caches, no flags and no fuel tricks, or the plainer walk that a faster one
+in the kernel replaced; all are meant only for small terms.
+reference_normalize looks term.step_normal_order up at call time, so that a
+test's patch of the reducer applies to it too.
 """
-from ptslab.term import App, Lam, Pi, PrimJ, _contract, _match_redex
+import ptslab.term as term_module
+from ptslab.term import (App, CycleDetected, FuelExhausted, Lam, NormalForm,
+                         Pi, PrimJ, ReductionTrace, Step, _contract,
+                         _match_redex, contract_at, redex_positions)
+
+_NODES = (Lam, App, Pi)
 
 
 def has_no_redex_or_j(t, memo=None):
@@ -45,3 +53,103 @@ def node_paths(t, path=()):
         return [path, path + (0,)]
     return [path, path + (2,), *node_paths(t.left, path + (0,)),
             *node_paths(t.right, path + (1,))]
+
+
+def reference_step(t, jrules=None):
+    """The frame-list search that step_normal_order replaced, with its
+    inline rebuild; it skips subtrees flagged normal and writes nothing."""
+    frames = [[t, -1]]
+    while frames:
+        f = frames[-1]
+        node = f[0]
+        if f[1] == -1:
+            if node.nf:
+                frames.pop()
+                continue
+            rule = term_module._match_redex(node, jrules)
+            if rule is not None:
+                res = term_module._contract(node, rule)
+                path = tuple(fr[1] - 1 for fr in frames[:-1])
+                for fr in reversed(frames[:-1]):
+                    parent, idx = fr[0], fr[1] - 1
+                    if idx == 0:
+                        res = type(parent)(res, parent.right)
+                    else:
+                        res = type(parent)(parent.left, res)
+                return res, path, rule
+            f[1] = 0
+        ch = (node.left, node.right) if type(node) in _NODES else ()
+        if f[1] < len(ch):
+            f[1] += 1
+            frames.append([ch[f[1] - 1], -1])
+        else:
+            frames.pop()
+    return None
+
+
+def reference_positions(t, jrules=None):
+    """The walk that redex_positions replaced: every node, whatever its
+    normality flag, then sorted."""
+    out = []
+    stack = [(t, ())]
+    while stack:
+        node, path = stack.pop()
+        if term_module._match_redex(node, jrules) is not None:
+            out.append(path)
+        if type(node) in _NODES:
+            stack.append((node.right, path + (1,)))
+            stack.append((node.left, path + (0,)))
+    return sorted(out)
+
+
+def reference_normalize(t, fuel, detect_cycles=False, jrules=None,
+                        keep_steps=True):
+    """The term-keyed cycle table that the hash table replaced: every term
+    seen is kept.  The reducer is looked up at call time so that a patched
+    one applies here too."""
+    steps = []
+    seen = {} if detect_cycles else None
+    cur, count = t, 0
+    while True:
+        if seen is not None:
+            first = seen.get(cur)
+            if first is not None:
+                return ReductionTrace(tuple(steps),
+                                      CycleDetected(count - first, cur), count)
+            seen[cur] = count
+        r = term_module.step_normal_order(cur, jrules)
+        if r is None:
+            return ReductionTrace(tuple(steps), NormalForm(cur), count)
+        if count >= fuel:
+            return ReductionTrace(tuple(steps), FuelExhausted(cur, fuel), count)
+        nxt, path, rule = r
+        if keep_steps:
+            steps.append(Step(path, rule, cur, nxt))
+        cur = nxt
+        count += 1
+
+
+def reference_whnf(t, fuel, jrules=None):
+    """The weak head normalisation that weak_head replaced: each step walks
+    the spine from the root, contracts or closes at the outermost node that
+    admits it, and rebuilds the spine; fuel steps, then one more to tell a
+    weak head normal form from exhaustion (None)."""
+    for _ in range(fuel + 1):
+        parents, node = [], t
+        while type(node) is App:
+            rule = term_module._match_redex(node, jrules)
+            new = (term_module._contract(node, rule) if rule is not None
+                   else term_module._close_j_args(node, jrules))
+            if new is not None:
+                break
+            parents.append(node)
+            node = node.left
+        else:
+            return t
+        t = term_module._rebuild(parents, (0,) * len(parents), new)
+    return None
+
+
+def reference_one_step_reachable(a, b):
+    """The two-pass check: every position, then each contraction again."""
+    return a == b or any(contract_at(a, p) == b for p in redex_positions(a))

@@ -8,6 +8,7 @@ from ptslab.erase import EraseError, UNTYPED, erase, u_one_step_reachable
 from ptslab.syntax import parse_term, pretty
 from ptslab.encodings import definitions
 from ptslab.corpus import welltyped_corpus
+from reference import reference_one_step_reachable
 
 
 F = definitions("f")
@@ -59,11 +60,6 @@ def test_one_step_reachable():
     assert u_one_step_reachable(t, t)               # zero steps
     assert u_one_step_reachable(t, lam(Var(0)))     # one beta step
     assert not u_one_step_reachable(t, Var(0))
-
-
-def reference_one_step_reachable(a, b):
-    """The two-pass check: every position, then each contraction again."""
-    return a == b or any(contract_at(a, p) == b for p in redex_positions(a))
 
 
 def test_one_step_reachable_builds_each_contractum_once(monkeypatch):

@@ -1,14 +1,23 @@
 import hashlib
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
-from ptslab.term import App, Lam, Pi, Sort, STAR_SORT, Var
+import ptslab
+from ptslab.term import (App, CycleDetected, FuelExhausted, JRules, Lam,
+                         NormalForm, Pi, ReductionTrace, Sort, STAR, STAR_SORT,
+                         Step, Var)
 from ptslab.syntax import (Check, Definition, ParseError, SourceFile,
                            _mentions_bound, parse, parse_term, pragma, pretty)
-from ptslab.systems import SYSTEMS
-from ptslab.encodings import definitions, registry
+from ptslab.systems import (Context, Judgment, ProbeReport, SYSTEMS,
+                            SystemSpec)
+from ptslab.codes import CodeTable, FlatMachinery, Prop1, Prop2
+from ptslab.encodings import EncodingEntry, definitions, registry
 from ptslab.corpus import random_wellscoped, welltyped_corpus
+from ptslab.paradox import LoopReport
 
 
 F = definitions("f")
@@ -231,3 +240,80 @@ def test_welltyped_corpus_text_is_pinned(seed, max_nodes):
     for t, ty in welltyped_corpus(500, seed=seed, max_nodes=max_nodes):
         h.update(f"{pretty(t)}\n{pretty(ty)}\n".encode())
     assert h.hexdigest() == CORPUS_DIGESTS[seed, max_nodes]
+
+
+def test_welltyped_corpus_rejects_max_nodes_below_every_seed():
+    # the smallest seed, ID, has 5 nodes
+    with pytest.raises(ValueError, match="max_nodes must be >= 5"):
+        welltyped_corpus(3, max_nodes=4)
+    assert len(welltyped_corpus(3, max_nodes=5)) == 3
+
+
+# --- records: immutable named tuples, and no dataclass at import ------------
+
+def test_import_builds_no_dataclass():
+    prog = ("import sys\n"
+            "import ptslab, ptslab.cli, ptslab.codes, ptslab.corpus, "
+            "ptslab.paradox\n"
+            "print('dataclasses' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(ptslab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", prog], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["False"]
+
+
+def _t():
+    """A fresh term, so that two records share no field object."""
+    return App(Var(0), Var(1))
+
+
+def _trace():
+    return ReductionTrace((Step((0,), "beta", _t(), _t()),), NormalForm(_t()), 1)
+
+
+# each record class with a function that builds one from fresh fields
+RECORDS = {
+    Step: lambda: Step((0, 1), "beta", _t(), _t()),
+    NormalForm: lambda: NormalForm(_t()),
+    FuelExhausted: lambda: FuelExhausted(_t(), 3),
+    CycleDetected: lambda: CycleDetected(2, _t()),
+    ReductionTrace: _trace,
+    JRules: lambda: JRules(7),
+    SystemSpec: lambda: SystemSpec("s", frozenset({STAR}),
+                                   frozenset({(STAR, STAR)}), frozenset()),
+    Context: lambda: Context((("x", _t()),)),
+    Judgment: lambda: Judgment(Context(), _t(), _t(), "f"),
+    ProbeReport: lambda: ProbeReport(3, False, 3, _t(), None, "type changed"),
+    Definition: lambda: Definition("x", _t()),
+    Check: lambda: Check("x", _t()),
+    SourceFile: lambda: SourceFile("f", (Definition("x", _t()),
+                                         Check("x", _t()))),
+    CodeTable: lambda: CodeTable(((1, "V", STAR_SORT),), ((1, 1),)),
+    Prop1: lambda: Prop1(_t(), _t(), _t()),
+    Prop2: lambda: Prop2(_t(), _t(), _t()),
+    FlatMachinery: lambda: FlatMachinery(
+        RECORDS[CodeTable](), _t(), _t(), _t(), Prop1(_t(), _t(), _t()),
+        Prop2(_t(), _t(), _t())),
+    EncodingEntry: lambda: EncodingEntry("x", "f", _t(), _t(), "cite"),
+    LoopReport: lambda: LoopReport(_t(), _trace(), (_t(),), (1,), 3),
+}
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
+def test_records_are_immutable_values(cls):
+    a, b = RECORDS[cls](), RECORDS[cls]()
+    assert type(a) is cls
+    assert a == b and hash(a) == hash(b)
+    with pytest.raises(AttributeError):
+        setattr(a, a._fields[0], b[0])
+    with pytest.raises(AttributeError):
+        a.extra = None
+
+
+def test_replace_runs_the_constructor_checks():
+    with pytest.raises(ValueError, match="fuel must be >= 0"):
+        JRules()._replace(type_fuel=-1)
+    with pytest.raises(ValueError, match="two axioms"):
+        SYSTEMS["f"]._replace(axioms=frozenset({(STAR, "BOX"), (STAR, STAR)}))
+    assert JRules()._replace(type_fuel=3) == JRules(3)

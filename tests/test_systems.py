@@ -345,6 +345,11 @@ def test_negative_fuel_is_rejected(entry):
         _NEGATIVE_FUEL[entry]()
 
 
+def test_negative_probe_steps_are_rejected():
+    with pytest.raises(ValueError, match="steps must be >= 0"):
+        subject_reduction_probe(SYSTEM_F, EMPTY, F_DEFS["ID"], -5)
+
+
 def count_matcher_calls(monkeypatch):
     """A list whose length is the number of term._match_redex calls made
     after this one."""

@@ -8,16 +8,18 @@ from hypothesis import given, settings, strategies as st
 
 import ptslab.term as term_module
 from ptslab.term import (App, CycleDetected, FuelExhausted, J, JRules, Lam,
-                         NormalForm, Pi, PrimJ, ReductionTrace, Sort, STAR_SORT,
-                         Step, Term, Var, app, contract_at, normal_form_of,
-                         normalize, redex_positions, reducts, shift,
-                         step_normal_order, substitute, weak_head)
+                         NormalForm, Pi, PrimJ, Sort, STAR_SORT, Term, Var,
+                         app, contract_at, normal_form_of, normalize,
+                         redex_positions, reducts, shift, step_normal_order,
+                         substitute, weak_head)
 from ptslab.syntax import parse_term
 from ptslab.encodings import definitions
 from ptslab.corpus import random_wellscoped, welltyped_corpus
 from ptslab.paradox import build_hurkens
 from ptslab.codes import build_flat_machinery, church
-from reference import contract_by_descent, has_no_redex_or_j, node_paths
+from reference import (_NODES, contract_by_descent, has_no_redex_or_j,
+                       node_paths, reference_normalize, reference_positions,
+                       reference_step, reference_whnf)
 
 
 DEFS = definitions("f")
@@ -205,56 +207,6 @@ def test_contract_at_rejects_paths_that_reach_no_redex():
 
 
 # --- one redex walk: the same answers as the two walks it replaced ---------
-
-_NODES = (Lam, App, Pi)
-
-
-def reference_step(t, jrules=None):
-    """The frame-list search that step_normal_order replaced, with its
-    inline rebuild; it skips subtrees flagged normal and writes nothing."""
-    frames = [[t, -1]]
-    while frames:
-        f = frames[-1]
-        node = f[0]
-        if f[1] == -1:
-            if node.nf:
-                frames.pop()
-                continue
-            rule = term_module._match_redex(node, jrules)
-            if rule is not None:
-                res = term_module._contract(node, rule)
-                path = tuple(fr[1] - 1 for fr in frames[:-1])
-                for fr in reversed(frames[:-1]):
-                    parent, idx = fr[0], fr[1] - 1
-                    if idx == 0:
-                        res = type(parent)(res, parent.right)
-                    else:
-                        res = type(parent)(parent.left, res)
-                return res, path, rule
-            f[1] = 0
-        ch = (node.left, node.right) if type(node) in _NODES else ()
-        if f[1] < len(ch):
-            f[1] += 1
-            frames.append([ch[f[1] - 1], -1])
-        else:
-            frames.pop()
-    return None
-
-
-def reference_positions(t, jrules=None):
-    """The walk that redex_positions replaced: every node, whatever its
-    normality flag, then sorted."""
-    out = []
-    stack = [(t, ())]
-    while stack:
-        node, path = stack.pop()
-        if term_module._match_redex(node, jrules) is not None:
-            out.append(path)
-        if type(node) in _NODES:
-            stack.append((node.right, path + (1,)))
-            stack.append((node.left, path + (0,)))
-    return sorted(out)
-
 
 def unmarked_copy(t, memo=None):
     """t rebuilt by the constructors; shared subtrees stay shared and
@@ -741,33 +693,6 @@ def test_focused_spine_rebuilds_linearly(monkeypatch):
 
 # --- cycle table: same outcome as a table of whole terms -------------------
 
-def reference_normalize(t, fuel, detect_cycles=False, jrules=None,
-                        keep_steps=True):
-    """The term-keyed cycle table that the hash table replaced: every term
-    seen is kept.  The reducer is looked up at call time so that a patched
-    one applies here too."""
-    steps = []
-    seen = {} if detect_cycles else None
-    cur, count = t, 0
-    while True:
-        if seen is not None:
-            first = seen.get(cur)
-            if first is not None:
-                return ReductionTrace(tuple(steps),
-                                      CycleDetected(count - first, cur), count)
-            seen[cur] = count
-        r = term_module.step_normal_order(cur, jrules)
-        if r is None:
-            return ReductionTrace(tuple(steps), NormalForm(cur), count)
-        if count >= fuel:
-            return ReductionTrace(tuple(steps), FuelExhausted(cur, fuel), count)
-        nxt, path, rule = r
-        if keep_steps:
-            steps.append(Step(path, rule, cur, nxt))
-        cur = nxt
-        count += 1
-
-
 def assert_same_as_reference(t, jrules=None):
     """Compare normalize with the reference on t at fuel mu+lambda-1,
     mu+lambda and mu+lambda+1, where mu+lambda is the step count at which
@@ -944,27 +869,6 @@ def test_cycle_table_memory_is_bounded():
 
 
 # --- weak head machine: same as the spine walk from the root --------------
-
-def reference_whnf(t, fuel, jrules=None):
-    """The weak head normalisation that weak_head replaced: each step walks
-    the spine from the root, contracts or closes at the outermost node that
-    admits it, and rebuilds the spine; fuel steps, then one more to tell a
-    weak head normal form from exhaustion (None)."""
-    for _ in range(fuel + 1):
-        parents, node = [], t
-        while type(node) is App:
-            rule = term_module._match_redex(node, jrules)
-            new = (term_module._contract(node, rule) if rule is not None
-                   else term_module._close_j_args(node, jrules))
-            if new is not None:
-                break
-            parents.append(node)
-            node = node.left
-        else:
-            return t
-        t = term_module._rebuild(parents, (0,) * len(parents), new)
-    return None
-
 
 FJ = definitions("f+j")
 
