@@ -23,8 +23,8 @@ enumeration is a bounded table, wide enough for the eight registered codes.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
-from typing import NamedTuple
 
 from .term import (App, Lam, Pi, STAR_SORT, Term, Var, normal_form_of,
                    DEFAULT_FUEL)
@@ -43,6 +43,8 @@ class GuardViolation(Exception):
 
 def church(k: int) -> Term:
     """The numeral k as a normal-form term."""
+    if k < 0:
+        raise ValueError("numeral must be >= 0")
     body: Term = Var(0)
     for _ in range(k):
         body = App(Var(1), body)
@@ -113,11 +115,10 @@ def _ascending_chain(cases: dict[int, str], default: str, var: str = "n",
     return text
 
 
-class CodeTable(NamedTuple):
+class CodeTable(namedtuple("CodeTable", "terms typ")):
     """Finite injective coding of closed terms.  Application codes
     multiply: #(a b) = #a * #b for the registered pair."""
-    terms: tuple[tuple[int, str, Term], ...]
-    typ: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
     def code_of(self, t: Term) -> int | None:
         for code, _, u in self.terms:
@@ -207,12 +208,10 @@ def _picks(ty: str, y: str, values: str, m: int) -> str:
                    for i in range(1, m + 1))
 
 
-class Prop1(NamedTuple):
+class Prop1(namedtuple("Prop1", "f F g")):
     """f, its course-of-values list F, and the base case g it was built
     from.  f y : A."""
-    f: Term
-    F: Term
-    g: Term
+    __slots__ = ()
 
 
 def build_prop1(A: Term, g: Term, h: Term, ks: list[Term]) -> Prop1:
@@ -268,13 +267,11 @@ def build_flat() -> Prop1:
     return build_prop1(STAR_SORT, STAR_SORT, h, [defs["pred"]])
 
 
-class Prop2(NamedTuple):
+class Prop2(namedtuple("Prop2", "T F A")):
     """The mutual T/F recursion of prime-product codes (the code lists are
     carried explicitly alongside the products), and the decoded type family
     A(y) = flat(delta(y+1, T-codes))."""
-    T: Term
-    F: Term
-    A: Term
+    __slots__ = ()
 
 
 def build_prop2(Ccode: int, gcode: int, dcode: Term, hcode: Term,
@@ -328,13 +325,8 @@ def build_prop2(Ccode: int, gcode: int, dcode: Term, hcode: Term,
     return Prop2(T, F, A)
 
 
-class FlatMachinery(NamedTuple):
-    table: CodeTable
-    list_type: Term
-    delta: Term
-    flat: Term
-    prop1: Prop1
-    prop2: Prop2
+FlatMachinery = namedtuple("FlatMachinery",
+                           "table list_type delta flat prop1 prop2")
 
 
 def build_flat_machinery() -> FlatMachinery:

@@ -5,20 +5,15 @@ enforced by the test suite.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
 from types import MappingProxyType
-from typing import NamedTuple
 
 from .term import Term
 from .syntax import parse_term
 
 
-class EncodingEntry(NamedTuple):
-    name: str
-    system: str
-    term: Term
-    type: Term
-    citation: str
+EncodingEntry = namedtuple("EncodingEntry", "name system term type citation")
 
 
 # Each block is (system, [(name, term-text, type-text, citation)]).

@@ -35,7 +35,8 @@ def erase(t: Term) -> Term:
         if tt is Var:
             if t.index < len(env) and env[t.index]:
                 raise EraseError("type variable in term position")
-            return Var(sum(1 for k in env[:t.index] if not k))
+            # drop the type binders it crosses (all of env for a free index)
+            return Var(t.index - sum(env[:t.index]))
         if tt is Lam:
             if type(t.left) is Sort and t.left.name == STAR:
                 return go(t.right, [True] + env)

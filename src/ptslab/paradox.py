@@ -13,21 +13,19 @@ Girard's paradox.
 """
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
+from functools import lru_cache
 
-from .term import (App, CycleDetected, JRules, ReductionTrace, Term,
-                   normalize)
+from .term import App, CycleDetected, JRules, Term, normalize
 from .syntax import parse
 from .systems import LAMBDA_STAR, EMPTY, infer
 from .encodings import entry
 
 
-class LoopReport(NamedTuple):
-    start: Term
-    trace: ReductionTrace
-    checkpoints: tuple[Term, ...]   # the displayed intermediate configurations
-    checkpoint_steps: tuple[int, ...]
-    period: int                     # raw contraction count of one full cycle
+# checkpoints: the displayed intermediate configurations;
+# period: raw contraction count of one full cycle
+LoopReport = namedtuple("LoopReport",
+                        "start trace checkpoints checkpoint_steps period")
 
 
 def build_loop(fuel: int = 100) -> LoopReport:
@@ -77,13 +75,20 @@ def hurkens_source() -> str:
     return _HURKENS_SRC
 
 
+@lru_cache(maxsize=1)
+def _hurkens_defs() -> dict[str, Term]:
+    """The definitions of _HURKENS_SRC, parsed once per process; callers
+    read it and never change it."""
+    return parse(_HURKENS_SRC).definitions
+
+
 def build_hurkens() -> Term:
     """The paradoxical term, closed and well-typed at bot in the Type:Type
     system (citation: Hurkens 1995)."""
-    return parse(_HURKENS_SRC).definitions["paradox"]
+    return _hurkens_defs()["paradox"]
 
 
 def hurkens_type_checks() -> bool:
-    src = parse(_HURKENS_SRC).definitions
+    src = _hurkens_defs()
     j = infer(LAMBDA_STAR, EMPTY, src["paradox"])
     return j.type == src["bot"]

@@ -23,7 +23,7 @@ end of the line.  BOX, TRI, V and J are reserved words.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from collections import namedtuple
 
 from .term import (App, Lam, Pi, PrimJ, J, Sort, STAR, STAR_SORT, Term,
                    UNTYPED, Var)
@@ -79,19 +79,14 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return out
 
 
-class Definition(NamedTuple):
-    name: str
-    term: Term
+Definition = namedtuple("Definition", "name term")
+Check = namedtuple("Check", "name type")
 
 
-class Check(NamedTuple):
-    name: str
-    type: Term
-
-
-class SourceFile(NamedTuple):
-    system: str | None
-    items: tuple[Definition | Check, ...]
+class SourceFile(namedtuple("SourceFile", "system items")):
+    """A parsed file: the system its pragma names (or None), and its
+    Definitions and Checks in source order."""
+    __slots__ = ()
 
     @property
     def definitions(self) -> dict[str, Term]:

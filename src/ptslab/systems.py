@@ -19,7 +19,6 @@ traced peak of 4.4 MiB at 600 steps, 10.4 MiB unswept; see its docstring).
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import NamedTuple
 
 from .term import (App, DEFAULT_FUEL, JRules, Lam, Pi, PrimJ, Sort, Term,
                    Var, shift, step_normal_order, substitute, weak_head, BOX,
@@ -89,9 +88,9 @@ J_TYPE = Pi(STAR_SORT, Pi(STAR_SORT,
             Pi(Pi(Var(1), Var(2)), Pi(Var(1), Var(2)))))
 
 
-class Context(NamedTuple):
+class Context(namedtuple("Context", "decls", defaults=((),))):
     """Typing context; declarations listed outermost first."""
-    decls: tuple[tuple[str, Term], ...] = ()
+    __slots__ = ()
 
     def extend(self, name: str, ty: Term) -> "Context":
         return Context(self.decls + ((name, ty),))
@@ -100,11 +99,7 @@ class Context(NamedTuple):
 EMPTY = Context()
 
 
-class Judgment(NamedTuple):
-    context: Context
-    subject: Term
-    type: Term
-    system: str
+Judgment = namedtuple("Judgment", "context subject type system")
 
 
 class TypingError(Exception):
@@ -337,13 +332,9 @@ def convertible(spec: SystemSpec, ctx: Context, a: Term, b: Term,
     return "convertible" if same else "distinct"
 
 
-class ProbeReport(NamedTuple):
-    steps_taken: int
-    ok: bool
-    violation_step: int | None = None
-    expected: Term | None = None
-    actual: Term | None = None
-    reason: str | None = None
+ProbeReport = namedtuple(
+    "ProbeReport", "steps_taken ok violation_step expected actual reason",
+    defaults=(None, None, None, None))
 
 
 # steps between two sweeps of the probe's checker caches; sweeping more

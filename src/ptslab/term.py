@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from array import array
 from collections import namedtuple
-from typing import NamedTuple
 
 STAR = "*"
 BOX = "BOX"
@@ -355,31 +354,12 @@ def step_normal_order(t: Term, jrules: JRules | None = None):
     return None
 
 
-class Step(NamedTuple):
-    position: tuple[int, ...]
-    rule: str
-    before: Term
-    after: Term
-
-
-class NormalForm(NamedTuple):
-    term: Term
-
-
-class FuelExhausted(NamedTuple):
-    last: Term
-    fuel: int
-
-
-class CycleDetected(NamedTuple):
-    period: int
-    witness: Term
-
-
-class ReductionTrace(NamedTuple):
-    steps: tuple[Step, ...]
-    outcome: NormalForm | FuelExhausted | CycleDetected
-    step_count: int
+Step = namedtuple("Step", "position rule before after")
+NormalForm = namedtuple("NormalForm", "term")
+FuelExhausted = namedtuple("FuelExhausted", "last fuel")
+CycleDetected = namedtuple("CycleDetected", "period witness")
+# outcome is a NormalForm, FuelExhausted or CycleDetected
+ReductionTrace = namedtuple("ReductionTrace", "steps outcome step_count")
 
 
 def normalize(t: Term, fuel: int = DEFAULT_FUEL, detect_cycles: bool = False,

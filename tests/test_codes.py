@@ -32,6 +32,11 @@ def test_church_agrees_with_registry():
         assert church(k) == S[f"n{k}"]
 
 
+def test_negative_numerals_are_rejected():
+    with pytest.raises(ValueError, match="numeral must be >= 0"):
+        church(-3)
+
+
 def test_numeral_value_roundtrip():
     for k in (0, 1, 5, 12, 64, 65, 200):
         assert nv(church(k)) == k

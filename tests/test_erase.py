@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from ptslab.term import (App, Lam, Var, contract_at, normalize, NormalForm,
-                         redex_positions, step_normal_order, substitute)
+from ptslab.term import (App, Lam, STAR_SORT, Var, contract_at, normalize,
+                         NormalForm, redex_positions, step_normal_order,
+                         substitute)
 from ptslab.erase import EraseError, UNTYPED, erase, u_one_step_reachable
 from ptslab.syntax import parse_term, pretty
 from ptslab.encodings import definitions
@@ -36,6 +37,13 @@ def test_erase_boolean():
 def test_type_abstraction_and_application_vanish():
     t = parse_term(r"/\X. \x:X. \y:Bool. x", F)
     assert erase(t) == lam(lam(Var(1)))
+
+
+def test_free_variables_keep_their_distance_past_the_term():
+    # a free index drops only the type binders it crosses
+    assert erase(Var(5)) == Var(5)
+    assert pretty(erase(App(Var(0), Var(1)))) == "f0 f1"
+    assert pretty(erase(Lam(STAR_SORT, Var(3)))) == "f2"
 
 
 def test_erase_rejects_j():

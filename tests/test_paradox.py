@@ -1,5 +1,7 @@
 import pytest
 
+import ptslab.paradox as px
+
 from ptslab.term import (App, CycleDetected, JRules, NormalForm, PrimJ,
                          normalize, normal_form_of)
 from ptslab.systems import (EMPTY, NoAxiom, NoRule, SYSTEMS, TypingError,
@@ -74,6 +76,16 @@ def test_hurkens_inhabits_bottom():
     t = build_hurkens()
     j = infer(SYSTEMS["star"], EMPTY, t)
     assert j.type == parse_term("Pi a:V. a")
+
+
+def test_hurkens_source_is_parsed_once(monkeypatch):
+    parses = []
+    monkeypatch.setattr(px, "parse",
+                        lambda text: parses.append(text) or parse(text))
+    px._hurkens_defs.cache_clear()
+    px.build_hurkens()
+    assert px.hurkens_type_checks()
+    assert parses == [hurkens_source()]
 
 
 def test_hurkens_does_not_normalize_quickly():

@@ -251,16 +251,29 @@ def test_welltyped_corpus_rejects_max_nodes_below_every_seed():
 
 # --- records: immutable named tuples, and no dataclass at import ------------
 
-def test_import_builds_no_dataclass():
-    prog = ("import sys\n"
-            "import ptslab, ptslab.cli, ptslab.codes, ptslab.corpus, "
-            "ptslab.paradox\n"
-            "print('dataclasses' in sys.modules)\n")
+def _loaded_after(flags, modules):
+    """Which of dataclasses and typing a fresh interpreter run with flags
+    has loaded after importing modules."""
+    prog = ("import sys, importlib\n"
+            f"for m in {modules!r}: importlib.import_module(m)\n"
+            "print('dataclasses' in sys.modules, 'typing' in sys.modules)\n")
     src = os.path.dirname(os.path.dirname(ptslab.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", prog], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.split() == ["False"]
+    out = subprocess.run([sys.executable, *flags, "-c", prog], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    return dict(zip(("dataclasses", "typing"), out.split()))
+
+
+def test_import_builds_no_dataclass():
+    got = _loaded_after([], ("ptslab", "ptslab.cli", "ptslab.codes",
+                             "ptslab.corpus", "ptslab.paradox"))
+    assert got["dataclasses"] == "False"
+    # -S: no site, which preloads typing on some installs; ptslab and the
+    # eight perfbench MODULES then load neither typing nor dataclasses
+    got = _loaded_after(["-S"], ("ptslab",) + tuple(
+        f"ptslab.{m}" for m in ("term", "systems", "syntax", "erase",
+                                "encodings", "codes", "corpus", "paradox")))
+    assert got == {"dataclasses": "False", "typing": "False"}
 
 
 def _t():
@@ -298,6 +311,39 @@ RECORDS = {
     EncodingEntry: lambda: EncodingEntry("x", "f", _t(), _t(), "cite"),
     LoopReport: lambda: LoopReport(_t(), _trace(), (_t(),), (1,), 3),
 }
+
+# each record class with its field names and its defaults
+RECORD_FIELDS = {
+    Step: ("position rule before after", {}),
+    NormalForm: ("term", {}),
+    FuelExhausted: ("last fuel", {}),
+    CycleDetected: ("period witness", {}),
+    ReductionTrace: ("steps outcome step_count", {}),
+    JRules: ("type_fuel", {}),
+    SystemSpec: ("name sorts axioms rules with_j", {}),
+    Context: ("decls", {"decls": ()}),
+    Judgment: ("context subject type system", {}),
+    ProbeReport: ("steps_taken ok violation_step expected actual reason",
+                  dict.fromkeys(("violation_step", "expected", "actual",
+                                 "reason"))),
+    Definition: ("name term", {}),
+    Check: ("name type", {}),
+    SourceFile: ("system items", {}),
+    CodeTable: ("terms typ", {}),
+    Prop1: ("f F g", {}),
+    Prop2: ("T F A", {}),
+    FlatMachinery: ("table list_type delta flat prop1 prop2", {}),
+    EncodingEntry: ("name system term type citation", {}),
+    LoopReport: ("start trace checkpoints checkpoint_steps period", {}),
+}
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
+def test_record_fields_and_defaults_are_pinned(cls):
+    fields, defaults = RECORD_FIELDS[cls]
+    assert cls._fields == tuple(fields.split())
+    assert cls._field_defaults == defaults
+    assert RECORD_FIELDS.keys() == RECORDS.keys()
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
