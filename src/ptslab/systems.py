@@ -5,16 +5,16 @@ typed calculus, System F, System U minus and Type:Type, only the triple
 changes.  It infers types by one sort judgement and one product rule, which
 types a Pi and, through its Pi, a lambda; `check` adds the sort judgement of
 the expected type, unless it is the inferred one, and a conversion.  The
-one conversion algorithm compares weak head normal forms (term.weak_head)
-level by level.  Fuel bounds each weak head normalisation and the pairs a
-comparison visits, so in Type:Type the checker gives up instead of hanging;
-a negative fuel raises ValueError.  Each declaration of a context must be a
-type in the context before it.
+one conversion algorithm compares weak head normal forms level by level;
+term.weak_head computes each on an environment machine.  Fuel bounds each
+weak head normalisation and the pairs a comparison visits, so in Type:Type
+the checker gives up instead of hanging; a negative fuel raises ValueError.
+Each declaration of a context must be a type in the context before it.
 
 The subject-reduction probe sweeps its checker's caches every 200 steps
 down to what the current reduct can still reach, so its memory follows the
 reduct and its subterms' types, not every term the run met (Hurkens: a
-traced peak of 4.4 MiB at 600 steps, 10.4 MiB unswept; see its docstring).
+traced peak of 4.39 MiB at 600 steps, 10.4 MiB unswept; see its docstring).
 """
 from __future__ import annotations
 
@@ -356,8 +356,8 @@ def subject_reduction_probe(spec: SystemSpec, ctx: Context, t: Term,
     the reduct and of its subterms' cached types.  On the Hurkens term
     (Python 3.11) a window allocates 3-6 MiB; over 4000 steps the reduct
     stays at 200-450 nodes, while the kept types grow from 2.4k nodes at
-    step 200 to 30k (3.4 MiB) at step 4000.  The tracemalloc peak is 4.4
-    MiB at 600 steps (tested at <= 6 MiB) and 10.6 MiB at 4000; without
+    step 200 to 30k (3.4 MiB) at step 4000.  The tracemalloc peak is 4.39
+    MiB at 600 steps (tested at <= 6 MiB) and 10.56 MiB at 4000; without
     the sweep it was 10.4 and 98.5 MiB."""
     if steps < 0:
         raise ValueError("steps must be >= 0")

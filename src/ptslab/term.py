@@ -11,11 +11,12 @@ shared, never copied, and the one normal-order redex walk, which writes
 nothing, skips every subtree flagged normal.  The walk yields redexes, not
 contracta: one matcher (_match_redex) says what is a redex, one contractor
 (_contract) builds every contractum, and step_normal_order, redex_positions,
-reducts, contract_at and weak_head share both.  weak_head, the checker's
-weak-head reducer, keeps the spine on a stack, and normalize, when it keeps
-no steps and has no cycle table and no J rules, resumes each search at the
-parent of the last contraction and keeps the ancestors above it stale (a
-zipper): either way a step on a deep spine costs what the redex's
+reducts and contract_at share both.  weak_head, the checker's weak-head
+reducer, is an environment machine whose beta steps build nothing; it reads
+its result back once, by the one substitution walk (_rewrite).  normalize,
+when it keeps no steps and has no cycle table and no J rules, resumes each
+search at the parent of the last contraction and keeps the ancestors above
+it stale (a zipper), so a step on a deep spine costs what the redex's
 neighbourhood costs, not its depth.
 
 Every node carries its hash from construction: Lam, App and Pi hash as
@@ -181,12 +182,12 @@ def app(fun: Term, *args: Term) -> Term:
 # ---------------------------------------------------------------------------
 # index arithmetic
 
-def _rewrite(t: Term, arg: Term | None, by: int) -> Term:
+def _rewrite(t: Term, vals: tuple[Term, ...] | list[Term], by: int) -> Term:
     """Rebuild t, replacing every Var whose index i is at least the local
-    cutoff c (the number of binders above it): by arg shifted by c when
-    arg is given and i == c, else by Var(i + by).  Subtrees without such
+    cutoff c (the number of binders above it): by vals[i - c] shifted by c
+    when i - c < len(vals), else by Var(i + by).  Subtrees without such
     variables are returned as-is."""
-    closed = arg is not None and arg.fvb == 0
+    n = len(vals)
     out: list[Term] = []
     emit, take = out.append, out.pop
     # reduction shares subtrees heavily; memoise on node identity so each
@@ -210,10 +211,11 @@ def _rewrite(t: Term, arg: Term | None, by: int) -> Term:
             emit(node)
         elif type(node) is Var:
             i = node.index
-            if i != cut or arg is None:
-                emit(Var(i + by))
+            if i - cut < n:
+                v = vals[i - cut]
+                emit(v if not v.fvb else shift(v, cut))
             else:
-                emit(arg if closed else shift(arg, cut))
+                emit(Var(i + by))
         else:
             if memo is not None:
                 hit = memo.get((id(node), cut))
@@ -234,7 +236,7 @@ def shift(t: Term, by: int) -> Term:
     """Add `by` to every free index."""
     if by == 0 or t.fvb == 0:
         return t
-    return _rewrite(t, None, by)
+    return _rewrite(t, (), by)
 
 
 def substitute(body: Term, arg: Term) -> Term:
@@ -242,7 +244,7 @@ def substitute(body: Term, arg: Term) -> Term:
     of a binder scope; remaining free indices are re-adjusted."""
     if body.fvb == 0:
         return body
-    return _rewrite(body, arg, -1)
+    return _rewrite(body, (arg,), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -549,34 +551,70 @@ def _rebuild(parents: list[Term], path: list[int] | tuple[int, ...],
 def weak_head(t: Term, fuel: int, jrules: JRules | None = None) -> Term | None:
     """Weak head normal form of t within fuel steps (t itself if it takes
     none), else None.  A step contracts the redex at the head of t's spine
-    or closes the type arguments of a J there (_close_j_args).  The spine's
-    nodes wait on a stack and go stale as the head reduces, so a step
-    rebuilds only its redex and the spine is rebuilt once, at the end."""
+    or closes the type arguments of a J there (_close_j_args).
+
+    The steps run on an environment machine.  A closure [u, env, value]
+    stands for u with each index i < len(env) bound to env[i]'s value and
+    the others lowered by len(env).  The head is a term under an
+    environment, the spine a stack of argument closures: a beta step moves
+    a closure from the spine to the head's environment and builds nothing,
+    and a variable head steps into its closure.  A J head, and the head and
+    spine when no step applies, are read back (_read_back)."""
     if fuel < 0:
         raise ValueError("fuel must be >= 0")
-    spine: list[Term] = []
-    head = t
-    for steps in range(fuel + 1):
-        while type(head) is App:
-            spine.append(head)
-            head = head.left
-        # a Lam head takes one argument, J three
-        k = 1 if type(head) is Lam else 3 if type(head) is PrimJ else 0
-        if not 0 < k <= len(spine):
+    spine: list[list] = []
+    h, env = t, ()
+    steps = 0
+    while True:
+        th = type(h)
+        if th is App:
+            a = h.right  # a bound variable is pushed as its closure
+            spine.append(env[a.index] if type(a) is Var and a.index < len(env)
+                         else [a, env, None] if env and a.fvb else [a, (), a])
+            h = h.left
+        elif th is Var and h.index < len(env):
+            h, env = env[h.index][:2]
+        elif th is Lam and spine:
+            if steps == fuel:
+                return None  # a contraction past the fuel: build none
+            h, env = h.right, [spine.pop(), *env]
+            steps += 1
+        elif th is PrimJ and len(spine) >= 3:
+            redex = app(J, *map(_read_back, spine[:-4:-1]))
+            rule = _match_redex(redex, jrules)
+            new = (_contract(redex, rule) if rule is not None
+                   else _close_j_args(redex, jrules))
+            if new is None:
+                break
+            if steps == fuel:
+                return None
+            del spine[-3:]
+            h, env = new, ()
+            steps += 1
+        else:
             break
-        redex = _rebuild(spine[-k:], (0,) * k, head)
-        rule = _match_redex(redex, jrules)
-        if rule is not None and steps == fuel:
-            return None  # a contraction past the fuel: build none
-        new = (_contract(redex, rule) if rule is not None
-               else _close_j_args(redex, jrules))
-        if new is None:
-            break
-        del spine[-k:]
-        head = new
-    else:
-        return None
-    return _rebuild(spine, (0,) * len(spine), head) if steps else t
+    if not steps:
+        return t
+    w = _read_back([h, env, None]) if env and h.fvb else h
+    for c in reversed(spine):
+        w = App(w, _read_back(c))
+    return w
+
+
+def _read_back(c: list) -> Term:
+    """The value of closure c: the closures of its environment first, on an
+    explicit stack, each once; then one parallel substitution (_rewrite)."""
+    todo = [c]
+    while todo:
+        d = todo.pop()
+        if d[2] is None:
+            vals = d[1][:d[0].fvb]
+            waiting = [e for e in vals if e[2] is None]
+            if waiting:
+                todo += d, *waiting
+            else:
+                d[2] = _rewrite(d[0], [e[2] for e in vals], -len(d[1]))
+    return c[2]
 
 
 def _close_j_args(node: Term, jrules: JRules | None) -> Term | None:

@@ -18,6 +18,7 @@ from ptslab.corpus import random_wellscoped, welltyped_corpus
 from ptslab.syntax import parse_term, pretty
 from ptslab.encodings import definitions, registry
 from ptslab.paradox import build_hurkens
+from reference import reference_whnf
 
 
 F_DEFS = definitions("f")
@@ -399,6 +400,33 @@ def test_probe_registry_smoke():
     for e in list(registry())[:8]:
         rep = subject_reduction_probe(SYSTEMS[e.system], EMPTY, e.term, steps=10)
         assert rep.ok, e.name
+
+
+def test_probe_weak_heads_match_reference(monkeypatch):
+    # every (term, fuel) the checker hands to weak_head during a Hurkens
+    # probe and a J-loop probe, replayed through the spine walk from the root
+    import ptslab.systems as systems_module
+    calls = []
+    real = systems_module.weak_head
+
+    def recording(t, fuel, jrules=None):
+        w = real(t, fuel, jrules)
+        calls.append((t, fuel, jrules, w))
+        return w
+
+    monkeypatch.setattr(systems_module, "weak_head", recording)
+    fj = definitions("f+j")
+    assert subject_reduction_probe(LAMBDA_STAR, EMPTY, build_hurkens(), 200,
+                                   200_000).ok
+    assert subject_reduction_probe(SYSTEM_F_J, EMPTY,
+                                   App(App(fj["K"], fj["rho"]), fj["K"]),
+                                   300).ok
+    # the J loop's reducts keep a type equal to the original, so conv hands
+    # weak_head nothing there; test_weak_head_matches_reference_on_j_terms
+    # covers J heads
+    assert len(calls) > 500
+    for t, fuel, jrules, w in calls:
+        assert w == reference_whnf(t, fuel, jrules)
 
 
 def test_probe_memory_is_bounded():

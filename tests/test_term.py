@@ -927,17 +927,59 @@ def test_weak_head_matches_reference_on_j_terms():
 
 def test_weak_head_builds_no_contraction_past_its_fuel(monkeypatch):
     # I I ... I (ten arguments) needs ten steps: fuel 3 contracts three
-    # redexes and finds a fourth, which it reports as exhaustion unbuilt
+    # redexes and finds a fourth, which it reports as exhaustion; the
+    # machine's beta steps substitute nothing, and nothing is read back
     calls = []
-    real = term_module.substitute
+    real = term_module._rewrite
 
-    def counting(body, arg):
-        calls.append(body)
-        return real(body, arg)
+    def counting(t, vals, by):
+        calls.append(t)
+        return real(t, vals, by)
 
-    monkeypatch.setattr(term_module, "substitute", counting)
+    monkeypatch.setattr(term_module, "_rewrite", counting)
     assert weak_head(app(IDENT, *[IDENT] * 10), 3) is None
-    assert len(calls) == 3
+    assert calls == []
+    assert weak_head(app(IDENT, *[IDENT] * 10), 10) is IDENT
+
+
+def test_weak_head_on_a_long_chain_of_bound_variables():
+    # (\x1. (\x2. ... (\xn. y xn) x(n-1) ...) x1) a: each argument is the
+    # variable the step before bound, so the closure of xn reaches a through
+    # n environments; the weak head normal form is y a
+    n = 10_000
+    a = Lam(STAR_SORT, Var(0))
+    body = App(Var(n), Var(0))
+    for _ in range(n - 1):
+        body = App(Lam(STAR_SORT, body), Var(0))
+    t = App(Lam(STAR_SORT, body), a)
+    assert weak_head(t, n) == App(Var(0), a)
+    assert weak_head(t, n - 1) is None
+    # with g x(k-1) for each argument, the closures form a chain that is
+    # read back from an explicit stack: y (g (g ... (g a)))
+    n = 3000
+    body = App(Var(n), Var(0))
+    for k in range(n - 1, 0, -1):
+        body = App(Lam(STAR_SORT, body), App(Var(k + 1), Var(0)))
+    want = a
+    for _ in range(n - 1):
+        want = App(Var(1), want)
+    assert weak_head(App(Lam(STAR_SORT, body), a), n) == App(Var(0), want)
+
+
+def test_weak_head_reads_back_a_deep_binder_nest():
+    # (\x. \y1. x (\y2. x (... \yn. x))) #5: the body mentions x under
+    # every binder, so the read-back rewrites the whole nest, at n cutoffs
+    n = 10_000
+
+    def nest(x):
+        t = Lam(STAR_SORT, x(n))
+        for k in range(n - 1, 0, -1):
+            t = Lam(STAR_SORT, App(x(k), t))
+        return t
+
+    t = App(Lam(STAR_SORT, nest(Var)), Var(5))
+    assert weak_head(t, 1) == nest(lambda k: Var(k + 5))
+    assert weak_head(t, 0) is None
 
 
 def test_trace_chains():
