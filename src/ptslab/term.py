@@ -12,12 +12,9 @@ nothing, skips every subtree flagged normal.  The walk yields redexes, not
 contracta: one matcher (_match_redex) says what is a redex, one contractor
 (_contract) builds every contractum, and step_normal_order, redex_positions,
 reducts and contract_at share both.  weak_head, the checker's weak-head
-reducer, is an environment machine whose beta steps build nothing; it reads
-its result back once, by the one substitution walk (_rewrite).  normalize,
-when it keeps no steps and has no cycle table and no J rules, resumes each
-search at the parent of the last contraction and keeps the ancestors above
-it stale (a zipper), so a step on a deep spine costs what the redex's
-neighbourhood costs, not its depth.
+reducer, and normalize's runs that keep nothing share one environment
+machine, whose beta steps build nothing; it reads its state back by the one
+substitution walk (_rewrite).
 
 Every node carries its hash from construction: Lam, App and Pi hash as
 hash((tag, left hash, right hash)) over their children's cached hashes, so
@@ -372,29 +369,19 @@ def normalize(t: Term, fuel: int = DEFAULT_FUEL, detect_cycles: bool = False,
     CycleDetected when the same term (up to alpha) recurs and detect_cycles
     is set.
 
-    Every search is one step_normal_order call on a subterm, the focus.  A
-    run that keeps no steps and has no cycle table and no J rules moves the
-    focus to the parent of each contraction, the one node a beta step can
-    turn into a new redex (a lambda in function position); a contraction at
-    the focus's own root therefore climbs one level.  Everything before the
-    focus in preorder is then normal or an ancestor that is not a redex, so
-    the focus holds the next leftmost-outermost redex unless it is normal.
-    A normal focus climbs one level and is searched again; the walk skips
-    the child just found normal, flagged so when J-free, and that search is
-    the only extra step_normal_order call (it returns None where the search
-    from the root would have found the redex after the focus).  The
-    ancestors above the focus are stale: two lists keep the nodes and the
-    directions taken, a climb rebuilds one of them, and the whole path is
-    rebuilt only for NormalForm.term and FuelExhausted.last.  On a spine
-    that makes search and rebuild O(1) per step instead of O(depth).  Each
-    stale ancestor keeps alive the version of the subterm below it from when
-    the focus passed it: at most one outdated copy per level, sharing every
-    subtree that no step since has rebuilt.
-
-    The other runs keep the whole term as the focus: a run that records or
-    hashes every reduct builds the whole reduct anyway, and a J rule can
-    turn any ancestor into a redex once reduction closes its type
-    arguments.
+    A run that keeps no steps and has no cycle table and no J rules runs on
+    a strong environment machine (_machine, after Cregut's KN machine): one
+    beta step is one normal-order contraction.  From a weak head normal form
+    it goes, in preorder, into a Lam's or Pi's domain, then its body under a
+    fresh level, or into a neutral head's arguments.  A level l is an
+    environment entry that reads as Var(D - l - 1) at output depth D; an
+    environment that holds just the levels of the binders above it is a
+    tuple, and a normal part under it is output as it is.  Every
+    _COLLAPSE_EVERY steps the machine reads its state back and restarts from
+    that reduct, so a divergent run keeps few closures.  The other runs
+    search each reduct from the root with step_normal_order: a run that
+    records or hashes every reduct builds it anyway, and a J rule can turn
+    any ancestor into a redex once reduction closes its type arguments.
 
     The cycle table keeps no terms, only two packed arrays: ``fps[c]`` is
     the cached hash of the term after c steps, and an open-addressing table
@@ -420,6 +407,10 @@ def normalize(t: Term, fuel: int = DEFAULT_FUEL, detect_cycles: bool = False,
     """
     if fuel < 0:
         raise ValueError("fuel must be >= 0")
+    if not keep_steps and not detect_cycles and jrules is None:
+        count, last, done = _machine(t, fuel, None, True)
+        return ReductionTrace((), NormalForm(last) if done
+                              else FuelExhausted(last, fuel), count)
     steps: list[Step] = []
     fps = array("q") if detect_cycles else None
     if fps is not None:
@@ -428,9 +419,6 @@ def normalize(t: Term, fuel: int = DEFAULT_FUEL, detect_cycles: bool = False,
         full = len(slots) // 2 - 1   # the count whose insertion fills half
         remember = fps.append
     clashes: dict[int, list[int]] = {}
-    focused = not keep_steps and fps is None and jrules is None
-    up: list[Term] = []     # the stale ancestors of cur, root first
-    dirs: list[int] = []    # the child taken from each
     cur = t
     count = 0
     while True:
@@ -454,28 +442,14 @@ def normalize(t: Term, fuel: int = DEFAULT_FUEL, detect_cycles: bool = False,
                 clashes.setdefault(h, []).append(count)
         r = step_normal_order(cur, jrules)
         if r is None:
-            if not up:
-                return ReductionTrace(tuple(steps), NormalForm(cur), count)
-            cur = _rebuild((up.pop(),), (dirs.pop(),), cur)
-            continue
+            return ReductionTrace(tuple(steps), NormalForm(cur), count)
         if count >= fuel:
-            return ReductionTrace(tuple(steps),
-                                  FuelExhausted(_rebuild(up, dirs, cur), fuel),
-                                  count)
+            return ReductionTrace(tuple(steps), FuelExhausted(cur, fuel), count)
         nxt, path, rule = r
         if keep_steps:
             steps.append(Step(path, rule, cur, nxt))
         cur = nxt
         count += 1
-        if focused and path:
-            # down to the contractum's parent
-            for d in path[:-1]:
-                up.append(cur)
-                dirs.append(d)
-                cur = cur.right if d else cur.left
-        elif up:
-            # a new head at the focus can make its parent a redex
-            cur = _rebuild((up.pop(),), (dirs.pop(),), cur)
 
 
 _INT_MAX = 2 ** (8 * array("i").itemsize - 1) - 1
@@ -551,70 +525,136 @@ def _rebuild(parents: list[Term], path: list[int] | tuple[int, ...],
 def weak_head(t: Term, fuel: int, jrules: JRules | None = None) -> Term | None:
     """Weak head normal form of t within fuel steps (t itself if it takes
     none), else None.  A step contracts the redex at the head of t's spine
-    or closes the type arguments of a J there (_close_j_args).
-
-    The steps run on an environment machine.  A closure [u, env, value]
-    stands for u with each index i < len(env) bound to env[i]'s value and
-    the others lowered by len(env).  The head is a term under an
-    environment, the spine a stack of argument closures: a beta step moves
-    a closure from the spine to the head's environment and builds nothing,
-    and a variable head steps into its closure.  A J head, and the head and
-    spine when no step applies, are read back (_read_back)."""
+    or closes the type arguments of a J there (_close_j_args).  The steps
+    run on the environment machine (_machine)."""
     if fuel < 0:
         raise ValueError("fuel must be >= 0")
-    spine: list[list] = []
-    h, env = t, ()
-    steps = 0
+    return _machine(t, fuel, jrules, False)[1]
+
+
+_COLLAPSE_EVERY = 512   # steps between the strong machine's read-backs
+
+
+def _machine(t: Term, fuel: int, jrules: JRules | None, strong: bool):
+    """(steps, term, done) for t run to weak head normal form, or if strong
+    to normal form (see normalize), within fuel steps; when a step past the
+    fuel is due, done is false and term is the state read back, or None if
+    not strong.  A closure (u, env) stands for u with each index i <
+    len(env) bound to env[i] and the others lowered by len(env).  The head
+    is a term under an environment, the spine a stack of argument closures;
+    a beta step moves the top one to the head's environment and builds
+    nothing, and a variable head steps into its closure.  todo stacks the
+    parts still to normalise, each a closure and its depth, under the
+    constructors that join them; out holds the parts done."""
+    spine, out, todo = [], [], []
+    h, env, depth, steps = t, (), 0, 0
+    pause = min(fuel, _COLLAPSE_EVERY) if strong else fuel
+    if strong and t.nf:
+        return 0, t, True
     while True:
         th = type(h)
         if th is App:
-            a = h.right  # a bound variable is pushed as its closure
-            spine.append(env[a.index] if type(a) is Var and a.index < len(env)
-                         else [a, env, None] if env and a.fvb else [a, (), a])
+            a = h.right  # a variable bound to a closure is pushed as it
+            e = env[a.index] if type(a) is Var and a.index < len(env) else a
+            spine.append(e if type(e) is tuple else (a, env if a.fvb else ()))
             h = h.left
-        elif th is Var and h.index < len(env):
-            h, env = env[h.index][:2]
+        elif th is Var and h.index < len(env) and type(env[h.index]) is tuple:
+            h, env = env[h.index]
         elif th is Lam and spine:
-            if steps == fuel:
-                return None  # a contraction past the fuel: build none
+            if steps == pause:  # the weak machine reads nothing back
+                h = (_read_state(h, env, spine, depth, out, todo) if strong
+                     else None)
+                if steps == fuel:
+                    return steps, h, False
+                pause = min(fuel, steps + _COLLAPSE_EVERY)
+                spine, env, depth = [], (), 0
+                continue
             h, env = h.right, [spine.pop(), *env]
             steps += 1
-        elif th is PrimJ and len(spine) >= 3:
-            redex = app(J, *map(_read_back, spine[:-4:-1]))
+        elif th is PrimJ and jrules is not None and len(spine) >= 3:
+            redex = app(J, *[_read_back(c, 0, {}) for c in spine[:-4:-1]])
             rule = _match_redex(redex, jrules)
             new = (_contract(redex, rule) if rule is not None
                    else _close_j_args(redex, jrules))
             if new is None:
                 break
             if steps == fuel:
-                return None
+                return steps, None, False
             del spine[-3:]
             h, env = new, ()
             steps += 1
-        else:
+        elif not strong:
             break
-    if not steps:
-        return t
-    w = _read_back([h, env, None]) if env and h.fvb else h
-    for c in reversed(spine):
-        w = App(w, _read_back(c))
-    return w
+        else:
+            for c in spine:
+                todo += App, (c, depth)
+            spine.clear()
+            if th is Lam or th is Pi:
+                top = type(env) is tuple and len(env) == depth
+                inner = (depth, *env) if top else [depth, *env]
+                todo += (th, ((h.right, inner), depth + 1),
+                         ((h.left, env), depth))
+            elif th is Var:  # bound to a level, or free in t
+                i, n = h.index, len(env)
+                out.append(Var(i - n + depth if i >= n
+                               else depth - env[i] - 1))
+            else:
+                out.append(h)
+            while todo:
+                task = todo.pop()
+                if type(task) is not tuple:
+                    out[-2:] = [task(*out[-2:])]
+                    continue
+                (h, env), depth = task
+                if not (h.nf and (not h.fvb or type(env) is tuple
+                                  and len(env) == depth)):
+                    break
+                out.append(h)
+            else:
+                return steps, out[0], True
+    return steps, _read_state(h, env, spine, 0, out, todo) if steps else t, True
 
 
-def _read_back(c: list) -> Term:
-    """The value of closure c: the closures of its environment first, on an
-    explicit stack, each once; then one parallel substitution (_rewrite)."""
+def _read_state(h: Term, env, spine, depth: int, out, todo) -> Term:
+    """The term a machine state stands for: the head under env applied to
+    the spine at depth, and every part still in todo, read back and joined
+    to the parts done in out."""
+    memo: dict = {}
+    for c in spine:
+        todo += App, (c, depth)
+    todo.append(((h, env), depth))
+    while todo:
+        task = todo.pop()
+        if type(task) is tuple:
+            out.append(_read_back(*task, memo))
+        else:
+            out[-2:] = [task(*out[-2:])]
+    return out.pop()
+
+
+def _read_back(c, depth: int, memo: dict) -> Term:
+    """The value of closure c at output depth, by one parallel substitution
+    (_rewrite) after the closures of its environment, on an explicit stack;
+    memo maps (id, depth) of each closure read back to it and its value, so
+    none is read back twice at one depth."""
     todo = [c]
     while todo:
-        d = todo.pop()
-        if d[2] is None:
-            vals = d[1][:d[0].fvb]
-            waiting = [e for e in vals if e[2] is None]
-            if waiting:
-                todo += d, *waiting
-            else:
-                d[2] = _rewrite(d[0], [e[2] for e in vals], -len(d[1]))
-    return c[2]
+        d = todo[-1]
+        u, env = d
+        if (id(d), depth) in memo:
+            todo.pop()
+        elif not u.fvb or type(env) is tuple and len(env) == depth:
+            memo[id(d), depth] = d, u
+        else:
+            vals = env[:u.fvb]
+            waiting = [e for e in vals
+                       if type(e) is tuple and (id(e), depth) not in memo]
+            todo += waiting
+            if not waiting:
+                vals = [Var(depth - e - 1) if type(e) is int
+                        else memo[id(e), depth][1] for e in vals]
+                memo[id(d), depth] = d, _rewrite(u, vals, depth - len(env))
+    return memo[id(c), depth][1]
 
 
 def _close_j_args(node: Term, jrules: JRules | None) -> Term | None:

@@ -56,18 +56,23 @@ def test_tracer_counts_the_contractions_of_the_trace():
 
 def test_tracer_sees_one_substitution_per_beta_contraction():
     # the redex walk tests the beta pattern inline; it must still call the
-    # module's substitute by name, or the traced substitution layer reads 0
+    # module's substitute by name, or the traced substitution layer reads 0.
+    # A run that keeps its steps runs on the walk; one that keeps nothing
+    # runs on the environment machine, which substitutes nothing, and makes
+    # the same contractions
     fm = build_flat_machinery()
     start = App(fm.flat, church(2))
     tracer = _load_tracer().Tracer()
     tracer.install()
     try:
-        tr = term_module.normalize(start, 100_000, keep_steps=False)
+        tr = term_module.normalize(start, 100_000)
     finally:
         tracer.uninstall()
     assert type(tr.outcome) is term_module.NormalForm
     assert tracer.calls["term.substitute"] == tracer.contractions["beta"] \
         == tr.step_count == 401
+    assert term_module.normalize(start, 100_000,
+                                 keep_steps=False).step_count == 401
 
 
 def test_cycle_table_calls_no_traced_reducer():
