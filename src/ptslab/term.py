@@ -13,8 +13,8 @@ contracta: one matcher (_match_redex) says what is a redex, one contractor
 (_contract) builds every contractum, and step_normal_order, redex_positions,
 reducts and contract_at share both.  weak_head, the checker's weak-head
 reducer, and normalize's runs that keep nothing share one environment
-machine, whose beta steps build nothing; it reads its state back by the one
-substitution walk (_rewrite).
+machine: its beta steps build nothing, its closures keep only what their
+terms can see, and it reads back by the one substitution walk (_rewrite).
 
 Every node carries its hash from construction: Lam, App and Pi hash as
 hash((tag, left hash, right hash)) over their children's cached hashes, so
@@ -375,13 +375,13 @@ def normalize(t: Term, fuel: int = DEFAULT_FUEL, detect_cycles: bool = False,
     it goes, in preorder, into a Lam's or Pi's domain, then its body under a
     fresh level, or into a neutral head's arguments.  A level l is an
     environment entry that reads as Var(D - l - 1) at output depth D; an
-    environment that holds just the levels of the binders above it is a
-    tuple, and a normal part under it is output as it is.  Every
-    _COLLAPSE_EVERY steps the machine reads its state back and restarts from
-    that reduct, so a divergent run keeps few closures.  The other runs
-    search each reduct from the root with step_normal_order: a run that
-    records or hashes every reduct builds it anyway, and a J rule can turn
-    any ancestor into a redex once reduction closes its type arguments.
+    environment that maps each index a part sees to its own binder is
+    a tuple of levels, and a normal part under it is output as it is.  The
+    state is read back at the fuel cut or the end only: closures keep only
+    what their terms can see, which bounds a divergent run's memory.  The
+    other runs search each reduct from the root with step_normal_order: a
+    run that records or hashes every reduct builds it anyway, and a J rule
+    can turn any ancestor into a redex once its type arguments close.
 
     The cycle table keeps no terms, only two packed arrays: ``fps[c]`` is
     the cached hash of the term after c steps, and an open-addressing table
@@ -532,9 +532,6 @@ def weak_head(t: Term, fuel: int, jrules: JRules | None = None) -> Term | None:
     return _machine(t, fuel, jrules, False)[1]
 
 
-_COLLAPSE_EVERY = 512   # steps between the strong machine's read-backs
-
-
 def _machine(t: Term, fuel: int, jrules: JRules | None, strong: bool):
     """(steps, term, done) for t run to weak head normal form, or if strong
     to normal form (see normalize), within fuel steps; when a step past the
@@ -543,12 +540,12 @@ def _machine(t: Term, fuel: int, jrules: JRules | None, strong: bool):
     len(env) bound to env[i] and the others lowered by len(env).  The head
     is a term under an environment, the spine a stack of argument closures;
     a beta step moves the top one to the head's environment and builds
-    nothing, and a variable head steps into its closure.  todo stacks the
-    parts still to normalise, each a closure and its depth, under the
-    constructors that join them; out holds the parts done."""
+    nothing, and a variable head steps into its closure.  Argument closures
+    and binder bodies keep only the entries their term or binder can see.
+    todo stacks the parts still to normalise, each a closure and its depth,
+    under the constructors that join them; out holds the parts done."""
     spine, out, todo = [], [], []
     h, env, depth, steps = t, (), 0, 0
-    pause = min(fuel, _COLLAPSE_EVERY) if strong else fuel
     if strong and t.nf:
         return 0, t, True
     while True:
@@ -556,19 +553,14 @@ def _machine(t: Term, fuel: int, jrules: JRules | None, strong: bool):
         if th is App:
             a = h.right  # a variable bound to a closure is pushed as it
             e = env[a.index] if type(a) is Var and a.index < len(env) else a
-            spine.append(e if type(e) is tuple else (a, env if a.fvb else ()))
+            spine.append(e if type(e) is tuple else (a, env[:a.fvb]))
             h = h.left
         elif th is Var and h.index < len(env) and type(env[h.index]) is tuple:
             h, env = env[h.index]
         elif th is Lam and spine:
-            if steps == pause:  # the weak machine reads nothing back
-                h = (_read_state(h, env, spine, depth, out, todo) if strong
-                     else None)
-                if steps == fuel:
-                    return steps, h, False
-                pause = min(fuel, steps + _COLLAPSE_EVERY)
-                spine, env, depth = [], (), 0
-                continue
+            if steps == fuel:  # the weak machine reads nothing back
+                return steps, (_read_state(h, env, spine, depth, out, todo)
+                               if strong else None), False
             h, env = h.right, [spine.pop(), *env]
             steps += 1
         elif th is PrimJ and jrules is not None and len(spine) >= 3:
@@ -590,8 +582,8 @@ def _machine(t: Term, fuel: int, jrules: JRules | None, strong: bool):
                 todo += App, (c, depth)
             spine.clear()
             if th is Lam or th is Pi:
-                top = type(env) is tuple and len(env) == depth
-                inner = (depth, *env) if top else [depth, *env]
+                inner = (depth, *env[:h.fvb])  # the entries the binder sees
+                inner = inner if _as_is(h, env, depth) else list(inner)
                 todo += (th, ((h.right, inner), depth + 1),
                          ((h.left, env), depth))
             elif th is Var:  # bound to a level, or free in t
@@ -606,13 +598,20 @@ def _machine(t: Term, fuel: int, jrules: JRules | None, strong: bool):
                     out[-2:] = [task(*out[-2:])]
                     continue
                 (h, env), depth = task
-                if not (h.nf and (not h.fvb or type(env) is tuple
-                                  and len(env) == depth)):
+                if not (h.nf and _as_is(h, env, depth)):
                     break
                 out.append(h)
             else:
                 return steps, out[0], True
     return steps, _read_state(h, env, spine, 0, out, todo) if steps else t, True
+
+
+def _as_is(u: Term, env, depth: int) -> bool:
+    """Whether the closure (u, env) at output depth stands for u: u is
+    closed, or env is a level tuple holding all depth levels or, made at
+    this depth (env[0] == depth - 1; closures go only deeper), all u sees."""
+    return not u.fvb or type(env) is tuple and (
+        len(env) == depth or u.fvb <= len(env) and env[0] == depth - 1)
 
 
 def _read_state(h: Term, env, spine, depth: int, out, todo) -> Term:
@@ -643,7 +642,7 @@ def _read_back(c, depth: int, memo: dict) -> Term:
         u, env = d
         if (id(d), depth) in memo:
             todo.pop()
-        elif not u.fvb or type(env) is tuple and len(env) == depth:
+        elif _as_is(u, env, depth):
             memo[id(d), depth] = d, u
         else:
             vals = env[:u.fvb]

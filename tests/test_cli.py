@@ -204,6 +204,16 @@ def test_normalize_fuel_flag(capsys, tmp_path):
     assert json.loads(out)["outcome"] == "fuel-exhausted"
 
 
+def test_normalize_a_growing_divergent_term(capsys, tmp_path):
+    # (\x. x x x) (\x. x x x) grows by one application at every step
+    p = tmp_path / "grow.ipl"
+    p.write_text("#system f\nw3 := (\\x:*. x x x) (\\x:*. x x x);\n")
+    code, out, _ = run(capsys, "normalize", str(p), "--term", "w3",
+                       "--fuel", "20000")
+    assert code == 1
+    assert out == "no normal form within 20000 steps\n"
+
+
 def test_normalize_cycle_flag(capsys, tmp_path):
     p = tmp_path / "loop.ipl"
     p.write_text("#system f\nw := (\\x:*. x x) (\\x:*. x x);\n")

@@ -590,10 +590,9 @@ def test_cycle_detection_on_self_application():
 # --- focused normalisation: the same run as a search from the root ---------
 
 def assert_focus_matches_root(t, fuels):
-    """At each fuel, normalize without kept steps (which resumes each search
-    at the last contraction's parent) stops after the same number of steps
-    and with the same outcome as normalize with kept steps (which searches
-    from the root every time)."""
+    """At each fuel, normalize without kept steps (the strong machine) stops
+    after the same number of steps and with the same outcome as normalize
+    with kept steps (the walk, which searches each reduct from the root)."""
     for fuel in fuels:
         want = normalize(t, fuel)
         got = normalize(t, fuel, keep_steps=False)
@@ -726,6 +725,33 @@ def test_machine_matches_walk_on_church_arithmetic():
         app(star["exp"], star["n2"], star["n5"]))] == [67, 96]
 
 
+def assert_machine_cuts_match_one_walk(t, fuels):
+    """normalize without kept steps (the strong machine), at each fuel,
+    gives the outcome, step count and term of one walk with kept steps cut
+    after that many steps: its reduct there, or its normal form."""
+    walk = normalize(t, max(fuels))
+    terms = [t, *(s.after for s in walk.steps)]
+    for fuel in fuels:
+        got = normalize(t, fuel, keep_steps=False)
+        want = (FuelExhausted(terms[fuel], fuel)
+                if fuel < walk.step_count
+                or type(walk.outcome) is FuelExhausted else walk.outcome)
+        assert type(got.outcome) is type(want), fuel
+        assert got.outcome == want, fuel
+        assert got.step_count == min(fuel, walk.step_count), fuel
+
+
+def test_machine_matches_walk_past_hundreds_of_steps():
+    # long runs, cut at and around multiples of 512 and far from them
+    assert_machine_cuts_match_one_walk(
+        build_hurkens(), (0, 1, 511, 512, 513, 1024, 1025, 4097))
+    star = definitions("star")
+    t = app(star["exp"], star["n4"], star["n5"])
+    assert normalize(t, 2000, keep_steps=False).step_count == 1026
+    assert_machine_cuts_match_one_walk(
+        t, {*range(0, 1028, 9), *range(510, 515), *range(1022, 1028)})
+
+
 def test_machine_matches_reference_on_open_wellscoped_terms():
     rng = random.Random(41)
     for _ in range(1000):
@@ -736,10 +762,27 @@ def test_machine_matches_reference_on_open_wellscoped_terms():
             assert got == want, (t, fuel)
 
 
+def test_machine_memory_does_not_grow_with_fuel():
+    # closures that kept the whole environment they were made in would keep
+    # every closure the run made reachable: ~1.7 MiB at 10^4 steps and ~6.7
+    # MiB at 4 * 10^4; trimmed, both read ~0.1 MiB
+    t = build_hurkens()
+    peaks = []
+    for fuel in (10_000, 40_000):
+        tracemalloc.start()
+        try:
+            tr = normalize(t, fuel, keep_steps=False)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert type(tr.outcome) is FuelExhausted and tr.step_count == fuel
+    assert abs(peaks[1] - peaks[0]) <= 0.5 * 2**20
+
+
 def test_machine_memory_is_bounded_on_a_divergent_run():
-    # the machine reads its state back every few hundred steps and restarts
-    # from the reduct, so the closures it made do not stay reachable: ~0.4
-    # MiB here, ~3.4 MiB without the restarts
+    # a closure keeps only the entries of its environment that its term can
+    # see, so the closures the run made do not stay reachable once the state
+    # no longer mentions them: ~0.2 MiB here, ~3.3 MiB if they kept all
     t = build_hurkens()
     tracemalloc.start()
     try:
@@ -766,6 +809,20 @@ def test_machine_on_a_deep_binder_nest():
     assert tr.step_count == walk.step_count == 1
     assert tr.outcome == walk.outcome == NormalForm(nest(Var(0)))
     assert normalize(t, 0, keep_steps=False).outcome == FuelExhausted(t, 0)
+
+
+def test_machine_enters_a_deep_binder_nest_in_linear_time():
+    # entering a binder copies only the environment entries it can see, so
+    # 10^5 binders over a redex take well under a second; copying the whole
+    # environment at each binder takes time quadratic in the depth (20-40 s)
+    n = 100_000
+    t, nf = App(IDENT, Var(0)), Var(0)
+    for _ in range(n):
+        t, nf = Lam(STAR_SORT, t), Lam(STAR_SORT, nf)
+    start = time.perf_counter()
+    tr = normalize(t, 10, keep_steps=False)
+    assert time.perf_counter() - start < 5
+    assert tr.step_count == 1 and tr.outcome == NormalForm(nf)
 
 
 def test_machine_on_a_long_identity_spine():
